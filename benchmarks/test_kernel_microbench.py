@@ -93,12 +93,21 @@ def test_bench_depthwise_matvec(benchmark):
     assert np.allclose(out, reference, rtol=1e-5, atol=1e-6)
 
 
-def test_bench_max_pool_shifted(benchmark, conv_input):
-    """The shifted-view max pool vs the window-view reference; max is
-    order-independent, so the outputs are byte-identical."""
-    from repro.kernels import max_pool_shifted
-    out = benchmark(max_pool_shifted, conv_input, 2, 2)
-    assert out.tobytes() == max_pool(conv_input, 2, 2).tobytes()
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+def test_bench_max_pool_padded(benchmark, dtype):
+    """GoogLeNet's pool1/3x3_s2 (k3 s2 p1 on 1x64x112x112), checked
+    byte for byte against the window-view reduction it replaced."""
+    x = RNG.integers(0, 256, (1, 64, 112, 112)).astype(dtype)
+    out = benchmark(max_pool, x, 3, 2, 1)
+    low = (np.iinfo(dtype).min if np.issubdtype(dtype, np.integer)
+           else -np.inf)
+    padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)),
+                    constant_values=low)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
+    reference = windows.max(axis=(-1, -2))
+    assert out.dtype == dtype
+    assert out.tobytes() == reference.tobytes()
 
 
 def test_bench_winograd_conv3x3(benchmark, conv_input):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.errors import ShapeError
 from repro.kernels import (avg_pool, conv_output_hw, flatten_filters,
@@ -179,7 +182,65 @@ class TestQgemm:
                              np.zeros((4, 2), np.uint8), 0)
 
 
+def naive_max_pool(x, kernel, stride, padding):
+    """Per-window loop over the in-bounds part of each window."""
+    batch, channels, height, width = x.shape
+    out_h, out_w = conv_output_hw(height, width, kernel, stride, padding)
+    out = np.empty((batch, channels, out_h, out_w), dtype=x.dtype)
+    for n in range(batch):
+        for c in range(channels):
+            for oh in range(out_h):
+                for ow in range(out_w):
+                    top = oh * stride - padding
+                    left = ow * stride - padding
+                    out[n, c, oh, ow] = x[n, c,
+                                          max(top, 0):top + kernel,
+                                          max(left, 0):left + kernel].max()
+    return out
+
+
+def _pool_elements(dtype):
+    if dtype == np.uint8:
+        return st.integers(0, 255)
+    width = np.finfo(dtype).bits
+    specials = [-np.inf, np.nan, float(np.finfo(dtype).min)]
+    # One NaN payload only, and no -0.0: signed zeros compare equal,
+    # so which one a maximum returns depends on evaluation order.
+    return st.one_of(
+        st.sampled_from(specials),
+        st.floats(width=width, allow_nan=False).map(lambda v: v + 0.0))
+
+
+@st.composite
+def max_pool_cases(draw):
+    kernel = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, kernel + 2))
+    padding = draw(st.integers(0, kernel // 2))
+    low = max(1, kernel - 2 * padding)
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(low, 9)), draw(st.integers(low, 9)))
+    dtype = draw(st.sampled_from([np.uint8, np.float16, np.float32]))
+    x = draw(hnp.arrays(dtype, shape, elements=_pool_elements(dtype)))
+    return x, kernel, stride, padding
+
+
 class TestPooling:
+    @given(max_pool_cases())
+    @example((np.array([[[[0, 255, 7], [255, 0, 3]]]], np.uint8), 2, 1, 1))
+    @example((np.array([[[[-np.inf, np.nan, 1.0],
+                          [np.finfo(np.float32).min, -np.inf, 2.0]]]],
+                       np.float32), 3, 2, 1))
+    @example((np.array([[[[-np.inf, np.finfo(np.float16).min],
+                          [np.nan, 4.0]]]], np.float16), 2, 3, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_max_pool_matches_naive_windows(self, case):
+        x, kernel, stride, padding = case
+        out = max_pool(x, kernel, stride, padding)
+        expected = naive_max_pool(x, kernel, stride, padding)
+        assert out.dtype == x.dtype
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_max_pool_basic(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         out = max_pool(x, 2, 2)

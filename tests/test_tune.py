@@ -382,6 +382,22 @@ class TestVerifyTunedVariantsPV014:
         assert any(d.rule == "PV014" and "warp_speed" in d.message
                    for d in report.diagnostics)
 
+    def test_retired_pool_variant_flagged_unknown(
+            self, vgg_mini, vgg_mini_calibration):
+        """Max pooling has one kernel and no tunable alternatives; a
+        max-pool step claiming the retired shifted-view variant is an
+        unknown variant."""
+        plan, program = self._tuned(vgg_mini, vgg_mini_calibration)
+        index, step = next((i, s) for i, s in enumerate(program.steps)
+                           if s.kind == "max_pool")
+        program.steps = list(program.steps)
+        program.steps[index] = dataclasses.replace(
+            step, variant="pool_shifted")
+        report = verify_tuned_variants(vgg_mini, plan, program)
+        assert any(d.rule == "PV014"
+                   and "unknown kernel variant 'pool_shifted'" in d.message
+                   for d in report.diagnostics)
+
     def test_nonreference_variant_in_untuned_program_flagged(
             self, squeezenet_mini, squeezenet_calibration):
         plan = _split_plan(squeezenet_mini, PROCESSOR_FRIENDLY)
