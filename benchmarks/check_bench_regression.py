@@ -22,24 +22,15 @@ against a freshly generated run and exits non-zero when:
   these gates with a notice.
 * when the fresh run carries an ``autotuned`` block (the
   profile-guided kernel-variant path; byte-identity against the
-  functional output is asserted inside the benchmark itself): the
-  geometric-mean speedup of the tuned programs over the untuned
-  compiled baseline must clear an absolute floor of 1.05x (with the
-  usual threshold headroom for machine noise), and both the geomean
-  speedup and the tuned total time are ratio-gated against the
-  baseline run.  Runs without the block (``--no-autotune``) skip
-  these gates with a notice.
-* when the fresh run carries a ``parallel`` block (the thread-parallel
-  compiled path; byte-identity across worker counts is asserted inside
-  the benchmark itself): on a multi-core runner, the aggregate
-  top-worker-count speedup over the serial loop must exceed 1.0 --
-  the worker pool has to actually pay for itself.  On a single-CPU
-  runner no wall-clock speedup is physically possible, so the absolute
-  gate is skipped with a notice.  When the baseline's block was
-  recorded on a runner with the same CPU count, the speedup is
-  additionally ratio-gated against the baseline like every other
-  metric.  Runs without the block (``--workers 1``) skip these gates
-  with a notice.
+  functional output is asserted inside the benchmark itself): some
+  step must have chosen a non-reference variant, and -- when the
+  baseline carries the block too -- each cell's tuned time
+  (``autotuned.cells[*].autotuned_ms``) and the tuned total time
+  (``autotuned.summary.autotuned_total_ms``) must not grow by more
+  than the threshold factor.  The tuned-over-untuned geomean is
+  printed, not gated: cells with nothing to tune measure 1.0 plus
+  noise.  Runs without the block (``--no-autotune``) skip these
+  gates with a notice.
 
 Cold absolute time is reported but not gated: it measures the uncached
 reference path, whose wall clock mostly tracks runner speed, and the
@@ -139,14 +130,7 @@ def _check_e2e(baseline: dict, fresh: dict, threshold: float) -> bool:
                         threshold, lower_is_better=False)
     regressed |= _check_autotuned(baseline.get("autotuned"),
                                   fresh.get("autotuned"), threshold)
-    regressed |= _check_parallel(baseline.get("parallel"),
-                                 fresh.get("parallel"), threshold)
     return regressed
-
-
-#: The autotuner must buy at least this geometric-mean speedup over
-#: the untuned compiled baseline across the mini-zoo cells.
-AUTOTUNE_GEOMEAN_FLOOR = 1.05
 
 
 def _check_autotuned(baseline: "dict | None", fresh: "dict | None",
@@ -157,17 +141,8 @@ def _check_autotuned(baseline: "dict | None", fresh: "dict | None",
               "block")
         return False
     regressed = False
-    geomean = fresh["summary"]["geomean_speedup"]
-    # Absolute floor with the usual threshold headroom: the committed
-    # baseline is held to the full 1.05x (benchmarks/
-    # test_wallclock_e2e.py), the CI runner only to the floor scaled
-    # down by the noise allowance.
-    floor = 1.0 + (AUTOTUNE_GEOMEAN_FLOOR - 1.0) / threshold
-    ok = geomean >= floor
-    print(f"  autotuned.geomean_speedup: {geomean:.3f}x "
-          f"(floor {floor:.3f}x from {AUTOTUNE_GEOMEAN_FLOOR:.2f}x "
-          f"absolute) -- {'ok' if ok else 'REGRESSED'}")
-    regressed |= not ok
+    print(f"  autotuned.geomean_speedup (informational): "
+          f"{fresh['summary']['geomean_speedup']:.3f}x")
     variants = fresh.get("variants", {})
     chosen = {name: count for name, count in variants.items()
               if name != "reference"}
@@ -180,59 +155,21 @@ def _check_autotuned(baseline: "dict | None", fresh: "dict | None",
                             for name, count in sorted(chosen.items()))
         print(f"  autotuned.variants: {summary}")
     if baseline is None:
-        print("  autotuned ratio gates skipped: baseline run has no "
+        print("  autotuned time gates skipped: baseline run has no "
               "autotuned block")
         return regressed
-    regressed |= _check("autotuned.geomean_speedup",
-                        baseline["summary"]["geomean_speedup"],
-                        fresh["summary"]["geomean_speedup"],
-                        threshold, lower_is_better=False)
+    for name in sorted(fresh["cells"]):
+        if name not in baseline["cells"]:
+            print(f"  autotuned_ms[{name}]: no baseline cell, skipped")
+            continue
+        regressed |= _check(f"autotuned_ms[{name}]",
+                            baseline["cells"][name]["autotuned_ms"],
+                            fresh["cells"][name]["autotuned_ms"],
+                            threshold, lower_is_better=True)
     regressed |= _check("autotuned.autotuned_total_ms",
                         baseline["summary"]["autotuned_total_ms"],
                         fresh["summary"]["autotuned_total_ms"],
                         threshold, lower_is_better=True)
-    return regressed
-
-
-def _check_parallel(baseline: "dict | None", fresh: "dict | None",
-                    threshold: float) -> bool:
-    """The thread-parallel gates; True when anything regressed."""
-    if fresh is None:
-        print("  parallel gates skipped: fresh run has no parallel "
-              "block")
-        return False
-    regressed = False
-    cpus = int(fresh.get("cpu_count", 1.0))
-    top = int(max(fresh["workers"]))
-    speedup = fresh["summary"]["speedup"]
-    if cpus > 1 and top > 1:
-        # The absolute bar: on a multi-core runner the worker pool
-        # must beat the serial loop in aggregate, or branch-level
-        # concurrency and cooperative slicing are not actually
-        # overlapping.  (Byte-identity across worker counts is
-        # asserted inside the benchmark, before any timing counts.)
-        ok = speedup > 1.0
-        print(f"  parallel.speedup (workers={top} over serial, "
-              f"{cpus} CPUs): {speedup:.2f}x -- "
-              f"{'ok' if ok else 'REGRESSED'}")
-        regressed |= not ok
-    else:
-        print(f"  parallel absolute-speedup gate skipped: fresh "
-              f"runner has {cpus} CPU(s) "
-              f"(speedup {speedup:.2f}x, informational)")
-    if baseline is None:
-        print("  parallel ratio gate skipped: baseline run has no "
-              "parallel block")
-        return regressed
-    if baseline.get("cpu_count") != fresh.get("cpu_count"):
-        print(f"  parallel ratio gate skipped: baseline recorded on "
-              f"{int(baseline.get('cpu_count', 1.0))} CPU(s), fresh "
-              f"on {cpus} (speedups not comparable)")
-        return regressed
-    regressed |= _check("parallel.speedup",
-                        baseline["summary"]["speedup"],
-                        fresh["summary"]["speedup"],
-                        threshold, lower_is_better=False)
     return regressed
 
 

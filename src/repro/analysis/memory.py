@@ -103,34 +103,12 @@ class ArenaLayout:
         batch: the batch size the buffer sizes assume.
         slots: one slot per activation buffer, in assignment order.
         arena_bytes: total arena size (max offset + size).
-        scratch_bytes: per-worker transient scratch requirement -- the
-            largest im2col column matrix any single step materializes
-            in the compiled path's column dtype (uint8 codes under
-            QUInt8 storage, float32 otherwise), rounded up to 64
-            bytes.  One such region per worker thread suffices because
-            a worker prepares at most one step's columns at a time and
-            holds them until the step's parts have joined.
-        workers: how many per-worker scratch regions
-            :attr:`scratch_slots` plans (1 plans none -- the serial
-            path allocates transients ad hoc, exactly as before).
-        scratch_slots: whole-run slots for the per-worker scratch
-            regions, placed after the activation region so they alias
-            nothing.
     """
 
     graph_name: str
     batch: int
     slots: Tuple[ArenaSlot, ...]
     arena_bytes: int
-    scratch_bytes: int = 0
-    workers: int = 1
-    scratch_slots: Tuple[ArenaSlot, ...] = ()
-
-    @property
-    def total_bytes(self) -> int:
-        """Activation arena plus every planned scratch region."""
-        return self.arena_bytes + sum(slot.nbytes
-                                      for slot in self.scratch_slots)
 
     def slot_of(self, buffer: str) -> ArenaSlot:
         """The slot assigned to ``buffer``.
@@ -187,28 +165,12 @@ class ArenaLayout:
                 "MF006", self.graph_name,
                 f"arena of {self.arena_bytes} bytes is smaller than "
                 f"the live-set peak of {self.live_peak_bytes()} bytes")
-        # Scratch regions live for the whole run, so they must alias
-        # nothing: not the activation region, not each other.
-        for i, slot in enumerate(self.scratch_slots):
-            if slot.offset < self.arena_bytes:
-                report.error(
-                    "MF006", slot.buffer,
-                    f"scratch slot at offset {slot.offset} overlaps "
-                    f"the activation region ([0, {self.arena_bytes}))")
-            for other in self.scratch_slots[i + 1:]:
-                if (slot.offset < other.offset + other.nbytes
-                        and other.offset < slot.offset + slot.nbytes):
-                    report.error(
-                        "MF006", slot.buffer,
-                        f"scratch slot overlaps {other.buffer!r}")
         return report
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form the compiled path can consume."""
         return {"graph": self.graph_name, "batch": self.batch,
                 "arena_bytes": self.arena_bytes,
-                "scratch_bytes": self.scratch_bytes,
-                "workers": self.workers,
                 "slots": [slot.to_dict() for slot in self.slots]}
 
 
@@ -243,62 +205,11 @@ def activation_intervals(graph: Graph, plan: ExecutionPlan,
     return intervals
 
 
-def _compiled_transient_bytes(graph: Graph, plan: ExecutionPlan,
-                              batch: int) -> int:
-    """The largest im2col column matrix the compiled path builds.
-
-    The compiled lowering materializes columns in the *storage-side*
-    dtype -- uint8 codes under QUInt8 activation storage, float32
-    columns on the float pipelines (half values are carried as their
-    exact float32 images).  This is what one per-worker scratch region
-    must hold; rounded up to 64 bytes so per-worker regions stay
-    cache-line aligned.
-    """
-    itemsize = (1 if plan.policy.activation_storage.itemsize == 1
-                else 4)
-    shapes = graph.infer_shapes()
-    peak = 0
-    for name in graph.compute_layers():
-        layer = graph.layer(name)
-        if layer.kind not in _IM2COL_KINDS:
-            continue
-        out_shape = shapes[name]
-        out_hw = int(out_shape[2]) * int(out_shape[3])
-        kernel = int(getattr(layer, "kernel"))
-        if layer.kind is LayerKind.CONV:
-            channels = int(getattr(layer, "in_channels"))
-        else:
-            channels = int(getattr(layer, "channels"))
-        peak = max(peak,
-                   channels * kernel * kernel * out_hw * batch * itemsize)
-    return (peak + 63) // 64 * 64
-
-
-def plan_arena(graph: Graph, plan: ExecutionPlan, batch: int,
-               workers: int = 1) -> ArenaLayout:
-    """The activation arena of one plan, from the static shapes.
-
-    Args:
-        workers: plan this many per-worker transient scratch regions
-            after the activation region (1, the default, plans none;
-            :attr:`ArenaLayout.scratch_bytes` is recorded either way
-            so a parallel runtime can size its own regions from a
-            workers-agnostic layout).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    layout = build_arena(graph.name, batch,
-                         activation_intervals(graph, plan, batch))
-    scratch = _compiled_transient_bytes(graph, plan, batch)
-    last = max((slot.end for slot in layout.slots), default=0)
-    scratch_slots = tuple(
-        ArenaSlot(buffer=f"<scratch:{worker}>",
-                  offset=layout.arena_bytes + worker * scratch,
-                  nbytes=scratch, start=0, end=last)
-        for worker in range(workers)) if workers > 1 and scratch else ()
-    return dataclasses.replace(layout, scratch_bytes=scratch,
-                               workers=workers,
-                               scratch_slots=scratch_slots)
+def plan_arena(graph: Graph, plan: ExecutionPlan,
+               batch: int) -> ArenaLayout:
+    """The activation arena of one plan, from the static shapes."""
+    return build_arena(graph.name, batch,
+                       activation_intervals(graph, plan, batch))
 
 
 def build_arena(graph_name: str, batch: int,

@@ -1,4 +1,4 @@
-"""Static verification of execution plans (rules PV001-PV014).
+"""Static verification of execution plans (rules PV001-PV012, PV014).
 
 The partitioner validates the plans it builds, but plans also arrive
 from other sources -- hand-written baselines, future serialized plans,
@@ -37,7 +37,7 @@ reports *every* violation as a structured diagnostic:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Set, Tuple
 
 from ..errors import GraphError, PlanError, ShapeError
 from ..nn import Graph, assert_region_partitions
@@ -50,7 +50,6 @@ from ..tensor import DType
 from .diagnostics import Report
 
 if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
-    from ..compile.dag import StepDag
     from ..compile.program import CompiledProgram
 
 #: Numerical slack for share-sum comparisons, matching the runtime.
@@ -433,162 +432,6 @@ def verify_program(graph: Graph, plan: ExecutionPlan,
             bad(step.layer, f"step placements "
                 f"{tuple(step.placements)} != plan placements "
                 f"{expected}")
-    return report
-
-
-# -- step-DAG soundness (PV013) ----------------------------------------------
-
-def verify_step_dag(program: "CompiledProgram",
-                    dag: "Optional[StepDag]" = None,
-                    keep: str = "outputs") -> Report:
-    """PV013: prove a program's step DAG safe to execute in parallel.
-
-    The parallel runtime schedules steps by the DAG and joins
-    cooperative parts at their static channel offsets; this rule
-    proves, statically, the three properties that make that schedule
-    race-free and byte-identical to the serial loop:
-
-    * **forward, acyclic dependences** -- every derived edge (data and
-      arena anti-dependence) points forward in step order and the full
-      edge set is acyclic, so Kahn-style ready-set scheduling drains
-      the program;
-    * **write-disjoint cooperative joins** -- a multi-part step's
-      parts carry exactly the channel ranges its placements declare,
-      pairwise disjoint and tiling the output channels, so concurrent
-      parts never write the same bytes;
-    * **anti-dependence ordering** -- for every pair of byte-aliased
-      arena slots, the lifetimes are disjoint and every access (the
-      producing write and all consuming reads) of the earlier buffer
-      happens at a strictly smaller step index than the aliasing
-      producer, re-derived here from the arena itself so a tampered
-      layout cannot hide behind a stale DAG.
-
-    Args:
-        program: the compiled program to check.
-        dag: an existing DAG to check (defaults to deriving one from
-            the program for ``keep``).
-        keep: the run mode the DAG must be sound for.
-
-    Returns:
-        A report with one PV013 error per violated invariant.
-    """
-    from ..compile.dag import build_step_dag
-    report = Report()
-
-    def bad(locus: str, message: str) -> None:
-        report.error("PV013", locus, message)
-
-    if dag is None:
-        dag = build_step_dag(program, keep=keep)
-    steps = program.steps
-    n = len(steps)
-    if len(dag) != n:
-        bad("dag", f"DAG has {len(dag)} nodes for a program of "
-            f"{n} steps")
-        return report
-
-    # Forward, in-range, acyclic edges.
-    edges = dag.edges
-    for src, dst in edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            bad("dag", f"edge ({src}, {dst}) references a step outside "
-                f"[0, {n})")
-        elif src == dst:
-            bad(steps[src].layer, "self-dependence edge")
-        elif src > dst:
-            bad(steps[dst].layer,
-                f"backward dependence edge: step {src} "
-                f"({steps[src].layer!r}) must precede step {dst} but "
-                f"is scheduled after it")
-    indegree = [0] * n
-    succs: List[List[int]] = [[] for _ in range(n)]
-    for src, dst in edges:
-        if 0 <= src < n and 0 <= dst < n and src != dst:
-            indegree[dst] += 1
-            succs[src].append(dst)
-    ready = [i for i in range(n) if indegree[i] == 0]
-    drained = 0
-    while ready:
-        node = ready.pop()
-        drained += 1
-        for succ in succs[node]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if drained != n:
-        stuck = sorted(steps[i].layer for i in range(n) if indegree[i])
-        bad("dag", f"dependence edges are cyclic; {n - drained} steps "
-            f"can never become ready ({', '.join(stuck)})")
-
-    # Cooperative joins: parts must mirror the declared placements and
-    # tile the channel axis disjointly.
-    for step in steps:
-        spec = step.parallel
-        if spec is None or len(spec.parts) <= 1:
-            continue
-        part_ranges = tuple(rng for _, rng, _ in spec.parts)
-        declared = tuple(rng for _, rng in step.placements)
-        if part_ranges != declared:
-            bad(step.layer,
-                f"parallel part ranges {part_ranges} != declared "
-                f"placement ranges {declared}")
-            continue
-        if any(rng is None for rng in part_ranges):
-            bad(step.layer, "multi-part step carries a whole-layer "
-                "part; concurrent parts must write disjoint channel "
-                "ranges")
-            continue
-        ordered = sorted(part_ranges)          # type: ignore[type-var]
-        cursor = 0
-        for lo, hi in ordered:                 # type: ignore[misc]
-            if lo != cursor or hi <= lo:
-                bad(step.layer,
-                    f"part ranges {part_ranges} do not tile "
-                    f"[0, {max(hi for _, hi in ordered)}) disjointly"  # type: ignore[misc]  # noqa: E501
-                    )
-                break
-            cursor = hi
-
-    # Arena aliasing: re-derived from the layout, not trusted from the
-    # DAG, so tampering with offsets or lifetimes is caught here.
-    if dag.arena_mode:
-        producer = {step.layer: i for i, step in enumerate(steps)}
-        consumers: Dict[str, List[int]] = {}
-        for i, step in enumerate(steps):
-            for name in step.inputs:
-                consumers.setdefault(name, []).append(i)
-        slots = program.arena.slots
-        for i, a in enumerate(slots):
-            for b in slots[i + 1:]:
-                if not (a.offset < b.offset + b.nbytes
-                        and b.offset < a.offset + a.nbytes):
-                    continue
-                if a.start <= b.end and b.start <= a.end:
-                    bad(a.buffer,
-                        f"arena slot aliases {b.buffer!r} while both "
-                        f"are live (steps [{max(a.start, b.start)}, "
-                        f"{min(a.end, b.end)}]); concurrent execution "
-                        "would corrupt one of them")
-                    continue
-                earlier, later = ((a, b) if (a.start, a.end)
-                                  <= (b.start, b.end) else (b, a))
-                dst = producer.get(later.buffer)
-                if dst is None:
-                    bad(later.buffer,
-                        "aliased buffer is written outside the step "
-                        "schedule (graph input reusing dying bytes)")
-                    continue
-                accesses = list(consumers.get(earlier.buffer, ()))
-                src_def = producer.get(earlier.buffer)
-                if src_def is not None:
-                    accesses.append(src_def)
-                for src in accesses:
-                    if src >= dst:
-                        bad(later.buffer,
-                            f"overwrites bytes of {earlier.buffer!r} "
-                            f"at step {dst} while step {src} "
-                            f"({steps[src].layer!r}) still accesses "
-                            "them")
     return report
 
 

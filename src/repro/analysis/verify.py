@@ -154,21 +154,9 @@ def verify_mechanism(soc: SoCSpec, graph: Graph, mechanism: str,
     return report.extend(verify_run(soc, graph, plan, result.timeline))
 
 
-#: Largest input element count for which compiled verification also
-#: executes a traced 2-worker parallel run for the RC007/RC008 rules
-#: (kernels actually run, so the sweep caps the work per cell).
-_TRACED_RUN_MAX_ELEMENTS = 16384
-
-
 def _verify_compiled(graph: Graph, plan: ExecutionPlan,
                      calibration: Optional[CalibrationTable]) -> Report:
-    """Lower ``plan`` and run the compiled-path rules over it.
-
-    Statically: PV012 (program consistent with its plan) and PV013
-    (step DAG sound for thread-parallel execution).  Dynamically, for
-    small inputs: a traced 2-worker parallel run replayed through the
-    RC007/RC008 race rules, with its outputs asserted byte-identical
-    to the serial loop.
+    """Lower ``plan`` and check the program against it (PV012).
 
     Quantized policies need activation ranges; when the caller has no
     calibration table one is derived from a deterministic synthetic
@@ -177,11 +165,10 @@ def _verify_compiled(graph: Graph, plan: ExecutionPlan,
     """
     import numpy as np
 
-    from ..compile import ParallelRuntime, compile_program
+    from ..compile import compile_program
     from ..errors import PlanError, QuantizationError
     from ..nn import calibrate_graph
-    from .plan_verifier import verify_program, verify_step_dag
-    from .races import check_step_trace
+    from .plan_verifier import verify_program
 
     report = Report()
     try:
@@ -195,30 +182,7 @@ def _verify_compiled(graph: Graph, plan: ExecutionPlan,
         report.error("PV012", "program",
                      f"plan failed to compile: {exc}")
         return report
-    report.extend(verify_program(graph, plan, program))
-    report.extend(verify_step_dag(program, keep="outputs"))
-    report.extend(verify_step_dag(program, keep="all"))
-    if not report.ok:
-        return report    # running a provably broken program adds noise
-    shape = graph.infer_shapes()[graph.input_layers()[0]]
-    elements = int(np.prod([int(d) for d in shape]))
-    if elements > _TRACED_RUN_MAX_ELEMENTS:
-        return report
-    x = np.random.default_rng(1).standard_normal(
-        tuple(int(d) for d in shape)).astype(np.float32)
-    serial = program.run(x, keep="outputs")
-    with ParallelRuntime(workers=2) as runtime:
-        trace: list = []
-        parallel = runtime.run(program, x, keep="outputs", trace=trace)
-        dag = runtime.dag_for(program, keep="outputs")
-    report.extend(check_step_trace(program, dag, trace))
-    for name, expected in serial.items():
-        if parallel[name].data.tobytes() != expected.data.tobytes():
-            report.error(
-                "RC008", name,
-                "traced 2-worker parallel run diverged from the "
-                "serial loop (byte identity violated)")
-    return report
+    return report.extend(verify_program(graph, plan, program))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,9 +20,6 @@ Commands:
 ``run``, ``serve``, and ``verify`` accept ``--compiled`` (run the
 compiled fused execution path / prove it consistent, rule PV012);
 ``bench`` times it by default (``--no-compiled`` to skip).
-``run``, ``serve``, and ``bench`` accept ``--workers N`` -- the
-worker-thread count for compiled execution (the cooperative-slice and
-branch-parallel runtime; outputs are byte-identical at any count).
 ``run``, ``compare``, ``verify``, ``serve``, ``cluster``, and
 ``bench`` all accept ``--json`` for machine-readable output.
 ``verify``, ``figure``, ``serve``, ``cluster``, and ``bench`` accept
@@ -79,11 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "byte-identity against the per-layer "
                           "interpreter, and reports the program's "
                           "fused steps and arena size")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker threads for --compiled execution "
-                          "(default: CPU count capped at 4; 1 = the "
-                          "serial loop; outputs are byte-identical "
-                          "either way)")
     run.add_argument("--autotune", action="store_true",
                      help="with --compiled: microbenchmark the legal "
                           "kernel variants of every fused step at "
@@ -167,10 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "their plans (serve dispatches are "
                             "timing-only, so this exercises the "
                             "program cache plumbing)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker threads shared by the fleet's "
-                            "compiled executors (one pool for all "
-                            "replicas; default 1 = serial)")
     serve.add_argument("--autotune", action="store_true",
                        help="with --compiled: autotune compiled "
                             "programs through one shared tuner; plan "
@@ -386,11 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(e.g. BENCH_e2e.json)")
     bench.add_argument("--json", action="store_true",
                        help="print the results as JSON")
-    bench.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="max worker count of the thread-parallel "
-                            "compiled benchmark axis (default 4: "
-                            "times workers 1, 2, and 4; 1 skips the "
-                            "'parallel' block)")
     bench.add_argument("--compiled", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="benchmark the compiled fused execution "
@@ -471,13 +454,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = build_model(args.model, with_weights=args.compiled)
     compiled_info: Optional[Dict[str, object]] = None
     if args.mechanism == "mulayer":
-        from .runtime.workers import default_workers
-        workers = (default_workers() if args.workers is None
-                   else args.workers)
         tuner = _make_tuner(args)
         runtime = MuLayer(soc, use_oracle_costs=args.oracle,
-                          compiled=args.compiled, workers=workers,
-                          tuner=tuner)
+                          compiled=args.compiled, tuner=tuner)
         if args.compiled:
             result, compiled_info = _run_compiled(runtime, graph)
             if tuner is not None:
@@ -745,8 +724,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   if args.plan_cache_size is not None else None)
     tuner = _make_tuner(args)
     fleet = Fleet.build(soc_names, args.devices, plan_cache=plan_cache,
-                        compiled=args.compiled, workers=args.workers,
-                        tuner=tuner)
+                        compiled=args.compiled, tuner=tuner)
     batch_timeout_s = (args.batch_timeout_ms / 1e3
                        if args.batch_timeout_ms is not None else None)
     scheduler = make_scheduler(args.scheduler, max_batch=args.max_batch,
@@ -1121,7 +1099,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 0
     results = run_bench(models=models, repeats=args.repeats,
                         jobs=args.jobs, compiled=args.compiled,
-                        workers=args.workers, autotune=args.autotune)
+                        autotune=args.autotune)
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..analysis.memory import ArenaLayout
-from ..errors import PlanError, ShapeError
+from ..errors import PlanError, ReproError, ShapeError
 from ..quant.calibrate import CalibrationTable
 from ..tensor import DType, QuantParams, Tensor
 
@@ -67,42 +67,8 @@ StepFn = Callable[[List[np.ndarray]], np.ndarray]
 PlacementPart = Tuple[str, Optional[Tuple[int, int]]]
 
 #: Builds one prepared-operand variant (im2col columns / dequantized
-#: lhs) from the step's single input array.  The optional ``scratch``
-#: keyword receives a per-worker flat uint8 buffer when the parallel
-#: runtime runs the step on a pool worker (the serial path passes
-#: nothing); values are identical either way.
-PrepareFn = Callable[..., np.ndarray]
-
-#: One concurrent portion of a cooperative step: the prepared-operand
-#: variant it consumes, its output-channel range, and the bound kernel
-#: mapping the prepared operand to that range's output block.
-ParallelPart = Tuple[str, Optional[Tuple[int, int]],
-                     Callable[[np.ndarray], np.ndarray]]
-
-
-@dataclasses.dataclass(frozen=True)
-class StepParallelSpec:
-    """How one cooperative step fans out across pool workers.
-
-    The serial ``fn`` of a :class:`CompiledStep` remains the source of
-    truth; this spec exposes the *same* prepared-operand builders and
-    part kernels individually so the parallel runtime can run the
-    parts concurrently and join them at their fixed channel offsets --
-    byte-identical to ``fn``'s fixed-order ``np.concatenate``.
-
-    Attributes:
-        prepare: prepared-operand builder per variant name (each built
-            at most once per step execution, exactly like the serial
-            closure's per-variant cache).
-        parts: the placement parts in concatenation order; every
-            variant referenced here has a builder in ``prepare``.
-        axis: the concatenation axis of the join (the output-channel
-            axis).
-    """
-
-    prepare: Dict[str, PrepareFn]
-    parts: Tuple[ParallelPart, ...]
-    axis: int
+#: lhs) from the step's single input array.
+PrepareFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,9 +85,6 @@ class CompiledStep:
         dtype: storage dtype of the step's output.
         inputs: producing layers whose outputs this step consumes.
         fn: the bound kernel closure.
-        parallel: per-part decomposition for the thread-parallel
-            runtime, or ``None`` for steps that execute as one task
-            (single placements and placement-invariant kinds).
         variant: the kernel lowering baked into ``fn`` --
             ``"reference"`` unless an autotuner selected an
             alternative (``PV014`` checks the name's legality against
@@ -134,7 +97,6 @@ class CompiledStep:
     dtype: DType
     inputs: Tuple[str, ...]
     fn: StepFn
-    parallel: Optional[StepParallelSpec] = None
     variant: str = "reference"
 
 
@@ -282,24 +244,8 @@ class CompiledProgram:
         self._arena_buf = buf
         self._views = views
 
-    def arena_views(self) -> Dict[str, np.ndarray]:
-        """The per-buffer arena views (allocating the arena on first
-        use).  The parallel runtime writes cooperative placement parts
-        directly into channel slices of these views; they alias the
-        same reused storage the serial ``keep="outputs"`` path uses."""
-        self._ensure_arena()
-        return self._views
-
     def check_input(self, x: np.ndarray) -> np.ndarray:
         """Validate an input batch against the compiled shapes."""
-        return self._check_input(x)
-
-    def tensor(self, name: str, data: np.ndarray) -> Tensor:
-        """Wrap a storage-domain array in the layer's output tensor
-        metadata (dtype + quantization parameters)."""
-        return self._tensor(name, data)
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.ndim < 1 or int(x.shape[0]) != self.batch:
             raise PlanError(
@@ -332,11 +278,16 @@ class CompiledProgram:
 
         Returns:
             Layer name -> output tensor.
+
+        Raises:
+            ReproError: when a step raises; the message names the
+                step's index, layer, and kind, and the original
+                exception is chained as ``__cause__``.
         """
         if keep not in ("outputs", "all"):
             raise ValueError(f"keep must be 'outputs' or 'all', "
                              f"got {keep!r}")
-        x = self._check_input(x)
+        x = self.check_input(x)
         if keep == "all":
             return self._run_fresh(x)
         return self._run_arena(x)
@@ -345,9 +296,12 @@ class CompiledProgram:
         values: Dict[str, np.ndarray] = {}
         for spec in self.inputs:
             values[spec.layer] = spec.fn(x)
-        for step in self.steps:
-            values[step.layer] = step.fn(
-                [values[name] for name in step.inputs])
+        try:
+            for step in self.steps:
+                values[step.layer] = step.fn(
+                    [values[name] for name in step.inputs])
+        except Exception as exc:
+            raise self._step_failed(step, exc) from exc
         return {name: self._tensor(name, data)
                 for name, data in values.items()}
 
@@ -356,8 +310,21 @@ class CompiledProgram:
         views = self._views
         for spec in self.inputs:
             np.copyto(views[spec.layer], spec.fn(x))
-        for step in self.steps:
-            np.copyto(views[step.layer],
-                      step.fn([views[name] for name in step.inputs]))
+        try:
+            for step in self.steps:
+                np.copyto(views[step.layer],
+                          step.fn([views[name] for name in step.inputs]))
+        except Exception as exc:
+            raise self._step_failed(step, exc) from exc
         return {name: self._tensor(name, views[name].copy())
                 for name in self.outputs}
+
+    def _step_failed(self, step: CompiledStep,
+                     exc: Exception) -> ReproError:
+        """The error a failing step re-raises as: it names the step's
+        index, layer, and kind; the caller chains the original."""
+        return ReproError(
+            f"{self.graph_name}: compiled step "
+            f"{self.steps.index(step)} "
+            f"({step.kind} layer {step.layer!r}) failed: "
+            f"{type(exc).__name__}: {exc}")

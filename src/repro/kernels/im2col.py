@@ -9,7 +9,7 @@ of convolutional and FC layers" (Section 6).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ def conv_output_hw(in_h: int, in_w: int, kernel: int, stride: int,
 
 
 def im2col(images: np.ndarray, kernel: int, stride: int, padding: int,
-           pad_value: float = 0.0,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
+           pad_value: float = 0.0) -> np.ndarray:
     """Unfold NCHW images into GEMM-ready patch columns.
 
     Args:
@@ -45,11 +44,6 @@ def im2col(images: np.ndarray, kernel: int, stride: int, padding: int,
         pad_value: the value used for padding.  Float paths pad with
             0.0; the QUInt8 path pads with the input zero point so the
             padding represents real zero.
-        out: optional flat uint8 scratch buffer to materialize the
-            columns into (the parallel runtime's pre-planned per-worker
-            transient slot); must be at least the column matrix's byte
-            size.  Element values are identical with or without it --
-            only the allocation is elided.
 
     Returns:
         Array of shape (batch, out_h * out_w, channels * kernel * kernel)
@@ -77,22 +71,9 @@ def im2col(images: np.ndarray, kernel: int, stride: int, padding: int,
         writeable=False,
     )
     # (batch, out_h, out_w, channels, kernel, kernel) -> rows.
-    if out is None:
-        columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-            batch, out_h * out_w, channels * kernel * kernel)
-        return np.ascontiguousarray(columns)
-    nbytes = (batch * out_h * out_w * channels * kernel * kernel
-              * images.dtype.itemsize)
-    if out.dtype != np.uint8 or out.ndim != 1 or out.nbytes < nbytes:
-        raise ShapeError(
-            f"im2col scratch must be a flat uint8 buffer of at least "
-            f"{nbytes} bytes, got dtype {out.dtype} shape {out.shape}")
-    dst = out[:nbytes].view(images.dtype).reshape(
+    columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
         batch, out_h * out_w, channels * kernel * kernel)
-    np.copyto(
-        dst.reshape(batch, out_h, out_w, channels, kernel, kernel),
-        windows.transpose(0, 2, 3, 1, 4, 5))
-    return dst
+    return np.ascontiguousarray(columns)
 
 
 def col2im_shape(batch: int, out_channels: int, out_h: int,

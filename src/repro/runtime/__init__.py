@@ -23,7 +23,6 @@ from .plan import (BranchAssignment, ExecutionPlan, LayerAssignment,
 from .plan_cache import PlanCache, PlanKey
 from .predictor import (DEFAULT_PROFILING_SEED, LatencyPredictor,
                         default_profiling_samples)
-from .workers import Task, WorkerPool, default_workers
 
 __all__ = [
     "ThroughputResult",
@@ -71,7 +70,4 @@ __all__ = [
     "DEFAULT_PROFILING_SEED",
     "LatencyPredictor",
     "default_profiling_samples",
-    "Task",
-    "WorkerPool",
-    "default_workers",
 ]

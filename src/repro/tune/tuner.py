@@ -20,8 +20,8 @@ tuner:
    estimator) and records the winner.
 
 The tuner is compile-time machinery: once a variant is chosen, the
-compiled step runs it unconditionally and the runtime (serial loop or
-:class:`~repro.compile.parallel.ParallelRuntime`) is none the wiser.
+compiled step runs it unconditionally and
+:meth:`~repro.compile.program.CompiledProgram.run` is none the wiser.
 """
 
 from __future__ import annotations

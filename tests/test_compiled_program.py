@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis import verify_program
 from repro.compile import compile_program
+from repro.errors import ReproError
 from repro.runtime import MuLayer, UNIFORM_F32
 from repro.runtime.baselines import single_processor_plan
 from repro.runtime.plan_cache import PlanCache, PlanKey
@@ -178,8 +179,8 @@ class TestPlanCacheConcurrency:
 class TestOperandCacheWeightRaces:
     def test_set_weights_races_tuned_parallel_execution(self, rng):
         """``set_weights`` storms while a *tuned* compiled program
-        runs through the thread-parallel runtime and a cached
-        functional computer keeps inferring.
+        runs on one thread and a cached functional computer keeps
+        inferring on another.
 
         Three guarantees under the race, same shape as the PlanCache
         hammer above:
@@ -197,7 +198,6 @@ class TestOperandCacheWeightRaces:
           went stale) and the new tuned program is byte-identical to a
           fresh functional run over the final weights.
         """
-        from repro.compile import ParallelRuntime
         from repro.models import build_model
         from repro.nn import calibrate_graph
         from repro.runtime import PROCESSOR_FRIENDLY
@@ -251,15 +251,13 @@ class TestOperandCacheWeightRaces:
         progress = [0, 0]
 
         def tuned_runner():
-            with ParallelRuntime(workers=2) as parallel:
-                while not stop.is_set():
-                    got = parallel.run(old_program, x,
-                                       keep="outputs")[out]
-                    progress[0] += 1
-                    if got.data.tobytes() != old_bytes:
-                        errors.append("tuned program output moved "
-                                      "under weight surgery")
-                        return
+            while not stop.is_set():
+                got = old_program.run(x, keep="outputs")[out]
+                progress[0] += 1
+                if got.data.tobytes() != old_bytes:
+                    errors.append("tuned program output moved "
+                                  "under weight surgery")
+                    return
 
         def functional_runner():
             while not stop.is_set():
@@ -313,6 +311,32 @@ class TestOperandCacheWeightRaces:
         stats = computer.cache_stats()
         assert stats["packed"]["misses"] >= 1
         assert stats["packed"]["hits"] >= 1
+
+
+class TestStepFaults:
+    @pytest.mark.parametrize("keep", ["all", "outputs"])
+    def test_failing_step_names_its_layer(self, vgg_mini, keep):
+        """A step that raises surfaces as an error naming the step
+        index, layer, and kind, with the original chained as cause."""
+        program = compile_program(vgg_mini, _plan(vgg_mini))
+        index = len(program.steps) // 2
+        victim = program.steps[index]
+
+        def broken(inputs):
+            raise ValueError("injected kernel fault")
+
+        program.steps = (program.steps[:index]
+                         + (dataclasses.replace(victim, fn=broken),)
+                         + program.steps[index + 1:])
+        x = np.zeros((1, 3, 32, 32), dtype=np.float32)
+        with pytest.raises(ReproError) as excinfo:
+            program.run(x, keep=keep)
+        message = str(excinfo.value)
+        assert f"step {index}" in message
+        assert repr(victim.layer) in message
+        assert victim.kind in message
+        assert "injected kernel fault" in message
+        assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 class TestVerifyProgramPV012:

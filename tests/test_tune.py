@@ -11,8 +11,7 @@ The tuner's contract has three legs, each pinned here:
   runtime fingerprint, or offered candidate set changes;
 * **programs** -- tuned :class:`CompiledProgram`s stay byte-identical
   to their untuned twins across models, policies, and batch sizes,
-  through the serial loop and the thread-parallel runtime alike, and
-  rule PV014 proves every baked variant legal for its step.
+  and rule PV014 proves every baked variant legal for its step.
 """
 
 import dataclasses
@@ -22,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import verify_tuned_variants
-from repro.compile import ParallelRuntime, compile_program
+from repro.compile import compile_program
 from repro.nn import calibrate_graph
 from repro.runtime import (PROCESSOR_FRIENDLY, UNIFORM_F16, UNIFORM_F32,
                            UNIFORM_QUINT8)
@@ -258,21 +257,6 @@ class TestTunedPrograms:
         out = vgg_mini.output_layers()[0]
         assert (tuned.run(x, keep="outputs")[out].data.tobytes()
                 == baseline.run(x, keep="outputs")[out].data.tobytes())
-
-    def test_tuned_program_through_parallel_runtime(
-            self, squeezenet_mini, squeezenet_calibration, rng):
-        plan = _split_plan(squeezenet_mini, PROCESSOR_FRIENDLY)
-        x = _input(squeezenet_mini, rng)
-        tuned = compile_program(squeezenet_mini, plan,
-                                squeezenet_calibration,
-                                tuner=Tuner(repeats=1))
-        serial = {name: tensor.data.tobytes()
-                  for name, tensor in
-                  tuned.run(x, keep="outputs").items()}
-        with ParallelRuntime(workers=2) as runtime:
-            parallel = runtime.run(tuned, x, keep="outputs")
-        assert {name: tensor.data.tobytes()
-                for name, tensor in parallel.items()} == serial
 
     def test_mobilenet_offers_depthwise_variant(self, mobilenet_mini,
                                                 mobilenet_mini_calibration):
