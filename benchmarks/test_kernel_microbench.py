@@ -83,7 +83,9 @@ def test_bench_conv1x1_im2col_reference(benchmark, conv_input):
 
 def test_bench_depthwise_matvec(benchmark):
     """The batched mat-vec depthwise contraction vs the einsum it
-    replaces (asserted equal on the same operands)."""
+    replaces (asserted equal on the same operands).  Float-only: the
+    tuner offers it to float depthwise parts; integer parts run
+    depthwise_conv_quint8."""
     from repro.kernels import depthwise_matvec
     columns = RNG.standard_normal((64, 3136, 9)).astype(np.float32)
     filters = RNG.standard_normal((64, 9)).astype(np.float32)
@@ -107,6 +109,50 @@ def test_bench_max_pool_padded(benchmark, dtype):
         padded, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
     reference = windows.max(axis=(-1, -2))
     assert out.dtype == dtype
+    assert out.tobytes() == reference.tobytes()
+
+
+def test_bench_depthwise_uint8(benchmark):
+    """MobileNet's conv1/dw (k3 s1 p1 on 1x32x112x112) through the
+    shifted-tap int32 kernel, checked byte for byte against the im2col
+    + int64 einsum lowering it replaced."""
+    from repro.kernels import depthwise_conv_quint8, pack_depthwise_taps
+    from repro.quant import requantize_prepared
+    x = RNG.integers(0, 256, (1, 32, 112, 112)).astype(np.uint8)
+    weights = RNG.integers(0, 256, (32, 3, 3)).astype(np.uint8)
+    bias = RNG.integers(-3000, 3000, 32).astype(np.int32)
+    x_zero, w_zero, mantissa, shift = 121, 134, 1518500250, 8
+    output = QuantParams(scale=0.05, zero_point=96)
+    taps = pack_depthwise_taps(weights, w_zero)
+    out = benchmark(depthwise_conv_quint8, x, x_zero, taps, bias, 1, 1,
+                    mantissa, shift, output, True)
+    columns = im2col(x.reshape(32, 1, 112, 112), 3, 1, 1,
+                     pad_value=float(x_zero))
+    rhs = weights.reshape(32, 9).astype(np.int32) - np.int32(w_zero)
+    acc = np.einsum("npk,nk->np", columns.astype(np.int32) - x_zero, rhs,
+                    dtype=np.int64).astype(np.int32) + bias[:, None]
+    reference = np.maximum(
+        requantize_prepared(acc, mantissa, shift, output),
+        np.uint8(output.zero_point)).reshape(1, 32, 112, 112)
+    assert out.tobytes() == reference.tobytes()
+
+
+def test_bench_requantize(benchmark):
+    """The one-rounding requantization epilogue on 401,408 accumulators
+    (conv1/dw's output), checked byte for byte against gemmlowp's two
+    nested roundings."""
+    from repro.quant import requantize_prepared
+    acc = RNG.integers(-(1 << 20), 1 << 20, 401408).astype(np.int32)
+    mantissa, shift = 1518500250, 9
+    output = QuantParams(scale=0.05, zero_point=96)
+    out = benchmark(requantize_prepared, acc, mantissa, shift, output)
+    product = acc.astype(np.int64) * mantissa
+    high = (product + np.where(product >= 0, 1 << 30, 1 - (1 << 30))) >> 31
+    mask = (1 << shift) - 1
+    threshold = (mask >> 1) + (high < 0)
+    rounded = (high >> shift) + ((high & mask) > threshold)
+    reference = np.clip(rounded + output.zero_point, 0, 255).astype(
+        np.uint8)
     assert out.tobytes() == reference.tobytes()
 
 

@@ -452,7 +452,8 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
       has a non-trivial im2col the direct GEMM would skip);
     * ``folded`` only on conv/FC steps at batch > 1 (at batch 1 the
       reference is already a single GEMM call);
-    * ``matvec`` only on depthwise convs;
+    * ``matvec`` only on depthwise convs with a float part (integer
+      parts have one kernel, which ignores it);
     * ``winograd`` only on 3x3/stride-1 convs under float storage, and
       only in a program compiled with ``allow_approx`` (it is the one
       variant exempt from byte identity);
@@ -505,6 +506,11 @@ def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
             if step.kind != "depthwise_conv":
                 bad(locus, f"matvec on a {step.kind!r} step; it "
                     "lowers the depthwise per-channel contraction")
+            elif storage is DType.QUINT8 and all(
+                    plan.policy.compute_dtype(resource) is DType.QUINT8
+                    for resource, _ in step.placements):
+                bad(locus, "matvec on an all-integer depthwise step; "
+                    "it lowers only float parts")
         elif variant == "winograd":
             if step.kind != "conv":
                 bad(locus, f"winograd on a {step.kind!r} step")

@@ -55,8 +55,9 @@ import numpy as np
 
 from ..analysis.memory import plan_arena
 from ..errors import PlanError, QuantizationError
-from ..kernels import (conv_output_hw, flatten_filters, im2col,
-                       max_pool, qgemm_fused)
+from ..kernels import (conv_output_hw, depthwise_conv_quint8,
+                       flatten_filters, im2col, max_pool,
+                       pack_depthwise_taps, qgemm_fused)
 from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
 from ..kernels.variants import (depthwise_matvec, winograd_conv3x3,
@@ -770,113 +771,45 @@ class _Lowering:
                     for resource, _ in parts_meta}
         if len(computes) == 1:
             parts_meta = ((parts_meta[0][0], None),)
-        columns_builders = self._depthwise_columns_builders(
-            layer, x_qparams, in_shape)
 
         def build(matvec: bool) -> StepFn:
             parts = [self._depthwise_part(name, layer, resource, rng,
                                           x_qparams, in_shape,
                                           matvec=matvec)
                      for resource, rng in parts_meta]
-            return self._depthwise_fn(parts, columns_builders,
-                                      int(in_shape[1]))
+            if len(parts) == 1:
+                return parts[0]
+
+            def fn(inputs: List[np.ndarray]) -> np.ndarray:
+                return np.concatenate([part(inputs) for part in parts],
+                                      axis=1)
+
+            return fn
 
         candidates: List[_StepCandidate] = [
             ("reference", build(matvec=False))]
-        if self.tuner is not None:
-            # Same per-channel dot products expressed as a batched
-            # mat-vec instead of an einsum contraction: exact on the
-            # integer pipelines (f64/int64 accumulation is a
-            # mathematically determined value either way), byte-checked
-            # on the float ones.
+        if self.tuner is not None and any(
+                not self._integer_compute(resource)
+                for resource, _ in parts_meta):
+            # The float parts' per-channel dot products as a batched
+            # mat-vec instead of an einsum contraction, byte-checked by
+            # the tuner.  Integer parts have one kernel and ignore it.
             candidates.append(("matvec", build(matvec=True)))
         return self._choose(name, candidates)
 
-    def _depthwise_fn(
-            self, parts: List[Tuple[str, Optional[Tuple[int, int]],
-                                    Callable[[np.ndarray], np.ndarray]]],
-            columns_builders: Dict[str, PrepareFn],
-            channels_total: int) -> StepFn:
-        """The step fn over one set of depthwise parts: each column
-        variant built once, parts concatenated in channel order."""
-
-        def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            (x,) = inputs
-            cols_cache: Dict[str, np.ndarray] = {}
-            outs = []
-            for variant, rng, part in parts:
-                cols = cols_cache.get(variant)
-                if cols is None:
-                    cols = columns_builders[variant](x)
-                    cols_cache[variant] = cols
-                outs.append(part(self._slice_columns(
-                    cols, rng, channels_total)))
-            if len(outs) == 1:
-                return outs[0]
-            return np.concatenate(outs, axis=1)
-
-        return fn
-
-    def _slice_columns(self, columns: np.ndarray,
-                       rng: Optional[Tuple[int, int]],
-                       channels_total: int) -> np.ndarray:
-        """One placement's channel slice of the full column matrix
-        (LayerComputer._depthwise_columns' slicing, verbatim)."""
-        if rng is None or rng == (0, channels_total):
-            return columns
-        lo, hi = rng
-        patches, kk = columns.shape[1], columns.shape[2]
-        view = columns.reshape(self.batch, channels_total, patches,
-                               kk)[:, lo:hi]
-        return np.ascontiguousarray(view).reshape(
-            self.batch * (hi - lo), patches, kk)
-
-    def _depthwise_columns_builders(
-            self, layer: DepthwiseConv2D,
-            x_qparams: Optional[QuantParams],
-            in_shape: Tuple[int, ...]
-    ) -> Dict[str, PrepareFn]:
-        in_h, in_w = int(in_shape[2]), int(in_shape[3])
-        builders: Dict[str, PrepareFn] = {}
-
-        def lower(values: np.ndarray, pad: float) -> np.ndarray:
-            n, c = values.shape[0], values.shape[1]
-            return im2col(values.reshape(n * c, 1, in_h, in_w),
-                          layer.kernel, layer.stride, layer.padding,
-                          pad_value=pad)
-
-        if self.storage is DType.QUINT8:
-            assert x_qparams is not None
-            pad = float(x_qparams.zero_point)
-
-            def build_codes(x: np.ndarray) -> np.ndarray:
-                return lower(x, pad)
-
-            builders["codes"] = build_codes
-        else:
-            def float_values(x: np.ndarray, half: bool) -> np.ndarray:
-                values = x.astype(np.float32)
-                if half:
-                    values = values.astype(np.float16).astype(np.float32)
-                return values
-
-            def build_f16f(x: np.ndarray) -> np.ndarray:
-                return lower(float_values(x, True), 0.0)
-
-            def build_f32f(x: np.ndarray) -> np.ndarray:
-                return lower(float_values(x, False), 0.0)
-
-            builders["f16f"] = build_f16f
-            builders["f32f"] = build_f32f
-        return builders
+    def _integer_compute(self, resource: str) -> bool:
+        """Whether ``resource`` runs the integer (QUInt8) pipeline."""
+        return (self.storage is DType.QUINT8
+                and self.policy.compute_dtype(resource) is DType.QUINT8)
 
     def _depthwise_part(self, name: str, layer: DepthwiseConv2D,
                         resource: str, rng: Optional[Tuple[int, int]],
                         x_qparams: Optional[QuantParams],
                         in_shape: Tuple[int, ...],
-                        matvec: bool = False
-                        ) -> Tuple[str, Optional[Tuple[int, int]],
-                                   Callable[[np.ndarray], np.ndarray]]:
+                        matvec: bool = False) -> StepFn:
+        """One placement's depthwise computation over its channel slice
+        of the step input (each channel is independent, so a slice
+        computes exactly what the whole layer computes there)."""
         compute = self.policy.compute_dtype(resource)
         total = int(in_shape[1])
         lo, hi = (0, total) if rng is None else rng
@@ -890,57 +823,25 @@ class _Lowering:
         out_qparams = self.qparams[name]
         storage_np = self.storage.numpy_dtype
 
-        if self.storage is DType.QUINT8 and compute is DType.QUINT8:
-            assert x_qparams is not None
-            weight_codes_full, w_qparams = self.quantized_weights(
+        if self._integer_compute(resource):
+            assert x_qparams is not None and out_qparams is not None
+            weight_codes, w_qparams = self.quantized_weights(
                 layer.weights)
-            weight_codes = weight_codes_full[lo:hi]
-            rhs = (np.tile(weight_codes.reshape(channels, -1),
-                           (batch, 1)).astype(np.int32)
-                   - np.int32(w_qparams.zero_point))
-            # Centered products are bounded by 255^2 per tap, so for
-            # any practical kernel size the einsum is exact in f64
-            # (every partial sum an integer far below 2**53 and the
-            # final value below 2**31) -- same guarantee qgemm_fused
-            # relies on for its dgemm path.
-            kk = rhs.shape[1]
-            exact_f64 = kk <= EXACT_GEMM_MAX_DEPTH
-            rhs_acc = rhs.astype(np.float64) if exact_f64 else rhs
+            taps = pack_depthwise_taps(weight_codes[lo:hi],
+                                       w_qparams.zero_point)
             bias_i32 = quantize_bias(bias, x_qparams.scale,
                                      w_qparams.scale)
-            assert out_qparams is not None
             mantissa, shift = prepare_requantize(
                 x_qparams.scale, w_qparams.scale, out_qparams)
-            x_zero = np.int32(x_qparams.zero_point)
-            zero_code = np.uint8(out_qparams.zero_point)
+            x_zero = x_qparams.zero_point
+            stride, padding = layer.stride, layer.padding
 
-            def run_int(columns: np.ndarray) -> np.ndarray:
-                if exact_f64:
-                    lhs = columns.astype(np.float64) - float(x_zero)
-                    if matvec:
-                        acc = depthwise_matvec(lhs, rhs_acc).astype(
-                            np.int32)
-                    else:
-                        acc = np.einsum("npk,nk->np", lhs,
-                                        rhs_acc).astype(np.int32)
-                elif matvec:
-                    lhs64 = columns.astype(np.int64) - np.int64(x_zero)
-                    acc = depthwise_matvec(
-                        lhs64, rhs_acc.astype(np.int64)).astype(np.int32)
-                else:
-                    lhs = columns.astype(np.int32) - x_zero
-                    acc = np.einsum("npk,nk->np", lhs, rhs_acc,
-                                    dtype=np.int64).astype(np.int32)
-                acc = acc + np.repeat(np.tile(bias_i32, batch),
-                                      acc.shape[1]).reshape(acc.shape)
-                codes = requantize_prepared(acc, mantissa, shift,
-                                            out_qparams)
-                codes = codes.reshape(batch, channels, out_h, out_w)
-                if relu:
-                    codes = np.maximum(codes, zero_code)
-                return codes
+            def run_int(inputs: List[np.ndarray]) -> np.ndarray:
+                return depthwise_conv_quint8(
+                    inputs[0][:, lo:hi], x_zero, taps, bias_i32, stride,
+                    padding, mantissa, shift, out_qparams, relu)
 
-            return "codes", rng, run_int
+            return run_int
 
         # Float compute (uniform float or F16-over-quantized storage).
         half = compute is DType.F16
@@ -949,21 +850,29 @@ class _Lowering:
             w = w.astype(np.float16).astype(np.float32)
         filters = np.tile(w.reshape(channels, -1), (batch, 1))
         if self.storage is DType.QUINT8:
-            # The depthwise float lowering dequantizes via
-            # Tensor.to_float (f32), optionally rounding through f16 --
-            # LayerComputer._dequant_lut's "f16f"/"f32f" tables.
+            # Dequantize via Tensor.to_float (f32), optionally rounding
+            # through f16 -- LayerComputer._dequant_lut's "f16f"/"f32f"
+            # tables.  The table maps the zero point to exactly 0.0,
+            # the float lowering's padding.
             assert x_qparams is not None
             table = x_qparams.dequantize(np.arange(256, dtype=np.uint8))
             if half:
                 table = table.astype(np.float16).astype(np.float32)
-            columns_variant = "codes"
-        else:
-            table = None
-            columns_variant = "f16f" if half else "f32f"
 
-        def run_float(columns: np.ndarray) -> np.ndarray:
-            if table is not None:
-                columns = table[columns]
+            def values_of(x: np.ndarray) -> np.ndarray:
+                return table[x[:, lo:hi]]
+        else:
+            def values_of(x: np.ndarray) -> np.ndarray:
+                values = x[:, lo:hi].astype(np.float32)
+                if half:
+                    values = values.astype(np.float16).astype(np.float32)
+                return values
+
+        def run_float(inputs: List[np.ndarray]) -> np.ndarray:
+            columns = im2col(
+                values_of(inputs[0]).reshape(batch * channels, 1, in_h,
+                                             in_w),
+                layer.kernel, layer.stride, layer.padding)
             if matvec:
                 out = depthwise_matvec(columns, filters)
             else:
@@ -982,7 +891,7 @@ class _Lowering:
                 return out
             return out.astype(storage_np)
 
-        return columns_variant, rng, run_float
+        return run_float
 
     # -- placement-invariant layers -------------------------------------------
 

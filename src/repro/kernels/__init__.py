@@ -1,5 +1,7 @@
-"""Numerical kernels: im2col, float GEMM, quantized GEMM, pooling."""
+"""Numerical kernels: im2col, float GEMM, quantized GEMM, integer
+depthwise convolution, pooling."""
 
+from .depthwise import depthwise_conv_quint8, pack_depthwise_taps
 from .gemm import gemm_f16, gemm_f32
 from .im2col import (col2im_shape, conv_output_hw, flatten_filters, im2col)
 from .op_cache import OperandCache
@@ -10,6 +12,8 @@ from .variants import (conv1x1_direct_f32, depthwise_matvec,
                        winograd_conv3x3, winograd_filter_transform)
 
 __all__ = [
+    "depthwise_conv_quint8",
+    "pack_depthwise_taps",
     "gemm_f16",
     "gemm_f32",
     "OperandCache",

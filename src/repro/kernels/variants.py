@@ -6,10 +6,10 @@ times the legal alternatives below per step and bakes the winner into
 the program.  Every function here is a complete drop-in computation
 for one step family:
 
-* :func:`depthwise_matvec` -- the depthwise per-channel contraction as
-  one batched mat-vec instead of an einsum.  Identical on the integer
-  pipelines (both accumulate exactly); float pipelines are subject to
-  the tuner's byte-identity check.
+* :func:`depthwise_matvec` -- a float depthwise part's per-channel
+  contraction as one batched mat-vec instead of an einsum, subject to
+  the tuner's byte-identity check.  Float-only: integer depthwise
+  parts always run :func:`~repro.kernels.depthwise.depthwise_conv_quint8`.
 * :func:`conv1x1_direct_f32` -- a 1x1/stride-1/no-padding convolution
   as a direct GEMM over the NCHW layout, skipping both the im2col
   copy and the NHWC->NCHW output fold.
@@ -21,7 +21,8 @@ for one step family:
 
 Placement-invariant steps (pooling, ReLU, flatten, ...) have no
 alternatives: their reference kernels are the only lowering, so max
-pooling is always :func:`~repro.kernels.pooling.max_pool`.
+pooling is always :func:`~repro.kernels.pooling.max_pool`.  Likewise
+an all-integer depthwise step has no candidate to tune.
 """
 
 from __future__ import annotations

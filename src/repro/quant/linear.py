@@ -81,33 +81,6 @@ def quantized_multiplier(real_multiplier: float) -> Tuple[int, int]:
     return q, shift
 
 
-def _saturating_rounding_doubling_high_mul(a: np.ndarray,
-                                           multiplier: int) -> np.ndarray:
-    """gemmlowp's SaturatingRoundingDoublingHighMul on int32 arrays."""
-    product = a.astype(np.int64) * np.int64(multiplier)
-    nudge = np.where(product >= 0, np.int64(1 << 30), np.int64(1 - (1 << 30)))
-    result = (product + nudge) >> 31
-    return np.clip(result, -(1 << 31), (1 << 31) - 1).astype(np.int32)
-
-
-def _rounding_divide_by_pot(value: np.ndarray, exponent: int) -> np.ndarray:
-    """Rounding arithmetic right shift by ``exponent`` (power of two).
-
-    A negative exponent performs a saturating left shift instead,
-    matching TFLite's handling of multipliers >= 1.
-    """
-    if exponent == 0:
-        return value
-    if exponent < 0:
-        shifted = value.astype(np.int64) << (-exponent)
-        return np.clip(shifted, -(1 << 31),
-                       (1 << 31) - 1).astype(np.int32)
-    mask = np.int32((1 << exponent) - 1)
-    remainder = value & mask
-    threshold = (mask >> 1) + np.where(value < 0, 1, 0).astype(np.int32)
-    return (value >> exponent) + (remainder > threshold).astype(np.int32)
-
-
 def prepare_requantize(input_scale: float, weight_scale: float,
                        output: QuantParams) -> Tuple[int, int]:
     """Pre-decompose the requantization multiplier of one layer.
@@ -127,20 +100,47 @@ def requantize_prepared(acc: np.ndarray, mantissa: int, shift: int,
     """Convert i32 accumulators to uint8 codes with a pre-decomposed
     multiplier (see :func:`prepare_requantize`).
 
-    Byte-identical to :func:`requantize` called with the scales the
-    (mantissa, shift) pair was prepared from.
+    gemmlowp's pipeline rounds twice: SaturatingRoundingDoublingHighMul
+    computes ``x = floor((acc*m + c1) / 2**31)`` and RoundingDivideByPOT
+    then computes ``floor((x + c2) / 2**shift)``, where the nudges
+    ``c1``/``c2`` depend on the signs of ``acc*m`` and ``x``.  Nested
+    floor divisions fold: ``floor((floor(a/B) + c)/D) ==
+    floor((a + c*B) / (B*D))`` for integers ``a, c`` and positive
+    ``B, D``; and since the mantissa is positive, ``x < 0`` exactly
+    when ``acc < 0``.  So both roundings collapse into one int64
+    multiply, one sign-dependent constant, and one arithmetic shift by
+    ``31 + shift`` -- byte-identical to the two-step form, and exact
+    in int64 up to shift 31 (``|acc*m|`` and the constant are both
+    below ``2**62``).
+
+    A negative shift (multiplier >= 1) applies TFLite's saturating
+    left shift to the accumulator first.  For ``shift >= 32`` the
+    product ``|acc * m * 2**(-31-shift)|`` is below one half, so the
+    correctly rounded value is 0 and every output is the zero-point
+    code.  The zero point is added in int64, so a result near
+    INT32_MAX saturates to 255 instead of wrapping.
     """
     acc = np.asarray(acc, dtype=np.int32)
     if shift < 0:
         # Multiplier >= 1: apply the saturating left shift *before*
-        # the rounding high-mul (TFLite's MultiplyByQuantizedMultiplier
+        # the rounding multiply (TFLite's MultiplyByQuantizedMultiplier
         # order), otherwise small accumulators lose all precision.
-        acc = _rounding_divide_by_pot(acc, shift)
+        acc = np.clip(acc.astype(np.int64) << -shift, -(1 << 31),
+                      (1 << 31) - 1).astype(np.int32)
         shift = 0
-    scaled = _saturating_rounding_doubling_high_mul(acc, mantissa)
-    scaled = _rounding_divide_by_pot(scaled, shift)
-    shifted = scaled + np.int32(output.zero_point)
-    return np.clip(shifted, QMIN, QMAX).astype(np.uint8)
+    if shift >= 32:
+        return np.full(acc.shape, output.zero_point, dtype=np.uint8)
+    # Both steps' nudges summed: ``nudge`` for acc >= 0; for acc < 0
+    # both steps take their negative nudges, together ``drop`` smaller.
+    nudge = (1 << 30) + ((1 << (30 + shift)) if shift else 0)
+    drop = (1 << 31) - 1 + ((1 << 31) if shift else 0)
+    scaled = np.multiply(acc, np.int64(mantissa), dtype=np.int64)
+    scaled += nudge
+    scaled -= (acc >> 31).astype(np.int64) & drop
+    scaled >>= 31 + shift
+    scaled += output.zero_point
+    np.clip(scaled, QMIN, QMAX, out=scaled)
+    return scaled.astype(np.uint8)
 
 
 def requantize(acc: np.ndarray, input_scale: float, weight_scale: float,

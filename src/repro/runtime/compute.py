@@ -33,20 +33,23 @@ wall clock; they are on by default and can be disabled with
   pipeline's zero-point padding to exactly 0.0.  A cooperative PFQ
   layer therefore gathers its columns once for both the CPU's integer
   GEMM and the GPU's F16 GEMM.  Float storage keeps per-dtype variants
-  (``"f16"``/``"f32"``).  Depthwise layers cache the *full-input*
-  columns once and hand each placement its channel slice.  The cache
-  is bounded (LRU) and cleared by :meth:`begin_inference`.
+  (``"f16"``/``"f32"``).  Float depthwise placements cache the
+  *full-input* columns once and take their channel slice; integer
+  depthwise placements build no columns
+  (:func:`~repro.kernels.depthwise.depthwise_conv_quint8` reads shifted
+  views of the padded input).  The cache is bounded (LRU) and cleared
+  by :meth:`begin_inference`.
 
 * a persistent **packed-operand cache**, keyed
   ``(layer, kind, channel_range, ...)`` and validated against the
   weight/bias array identity, holding the flattened/transposed filter
   matrices, the f16 filter casts, and -- for QUInt8 compute -- the
   pre-quantized codes, the int32-widened GEMM operand, the weight-side
-  column sums ``sum_k qr`` of the gemmlowp identity, and the
-  accumulator-domain bias.  Entries invalidate automatically when a
-  layer's weight *array object* is replaced (``set_weights`` after
-  surgery/QAT); in-place mutation of the same array requires an
-  explicit :meth:`invalidate_weights`.
+  column sums ``sum_k qr`` of the gemmlowp identity, the centred
+  depthwise taps, and the accumulator-domain bias.  Entries invalidate
+  automatically when a layer's weight *array object* is replaced
+  (``set_weights`` after surgery/QAT); in-place mutation of the same
+  array requires an explicit :meth:`invalidate_weights`.
 
 Cached execution is byte-identical to the uncached path: every cached
 artifact is either built by exactly the same expression the uncached
@@ -63,12 +66,14 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 import numpy as np
 
 from ..errors import PlanError, QuantizationError
-from ..kernels import (OperandCache, conv_output_hw, flatten_filters,
-                       gemm_f16, im2col, qgemm)
+from ..kernels import (OperandCache, conv_output_hw,
+                       depthwise_conv_quint8, flatten_filters, gemm_f16,
+                       im2col, pack_depthwise_taps, qgemm)
 from ..nn import Graph, LayerKind
 from ..nn.layers import (Conv2D, DepthwiseConv2D, FullyConnected)
 from ..kernels.qgemm import quantize_bias
-from ..quant import dequantize_lut, dequantize_to_half, requantize
+from ..quant import (dequantize_lut, dequantize_to_half,
+                     prepare_requantize)
 from ..quant.calibrate import CalibrationTable
 from ..tensor import DType, QuantParams, Tensor, concat_channels
 from .distribution import channel_ranges
@@ -525,8 +530,8 @@ class LayerComputer:
         compute_dtype = self._policy.compute_dtype(resource)
         storage = self._policy.activation_storage
         if storage is DType.QUINT8 and compute_dtype is DType.QUINT8:
-            return self._depthwise_integer(name, layer, x, x_slice,
-                                           weights, bias, lo, hi)
+            return self._depthwise_integer(name, layer, x_slice, bias,
+                                           lo, hi)
         # Float compute (uniform float, or F16-over-quantized).
         out = self._depthwise_float(name, layer, x, x_slice, weights,
                                     bias, compute_dtype, lo, hi)
@@ -571,7 +576,7 @@ class LayerComputer:
 
         if x.dtype is DType.QUINT8:
             # Quantized storage: gather the uint8 code columns (shared
-            # with a cooperative layer's integer placements) and
+            # by a cooperative layer's float placements) and
             # dequantize through the per-variant lookup table; the
             # table maps the zero-point padding to exactly 0.0, the
             # float lowering's padding.
@@ -625,51 +630,28 @@ class LayerComputer:
         return out.astype(np.float32)
 
     def _depthwise_integer(self, name: str, layer: DepthwiseConv2D,
-                           x: Tensor, x_slice: Tensor,
-                           weights: np.ndarray, bias: np.ndarray,
+                           x_slice: Tensor, bias: np.ndarray,
                            lo: int, hi: int) -> Tensor:
         """Integer depthwise conv with i32 accumulation + requantize."""
-        weight_codes_full, w_qparams = self._quantized_weights(
+        weight_codes, w_qparams = self._quantized_weights(
             name, layer.weights)
-        channels = weights.shape[0]
-        weight_codes = weight_codes_full[lo:lo + channels]
         assert x_slice.qparams is not None
         x_qparams = x_slice.qparams
-        batch = x_slice.shape[0]
-        in_h, in_w = x_slice.shape[2], x_slice.shape[3]
-        pad = float(x_qparams.zero_point)
-
-        def lower(tensor: Tensor) -> np.ndarray:
-            n, c = tensor.shape[0], tensor.shape[1]
-            return im2col(tensor.data.reshape(n * c, 1, in_h, in_w),
-                          layer.kernel, layer.stride, layer.padding,
-                          pad_value=pad)
-
-        columns = self._depthwise_columns(
-            name, layer, x, "codes",
-            lambda: lower(x), lambda: lower(x_slice), lo, hi)
-        lhs = columns.astype(np.int32) - np.int32(x_qparams.zero_point)
-        rhs = self._packed_operand(
-            (name, "dw_rhs_i32", (lo, hi), batch), layer.weights,
-            lambda: (np.tile(weight_codes.reshape(channels, -1),
-                             (batch, 1)).astype(np.int32)
-                     - np.int32(w_qparams.zero_point)))
-        acc = np.einsum("npk,nk->np", lhs, rhs, dtype=np.int64)
-        acc = acc.astype(np.int32)
+        taps = self._packed_operand(
+            (name, "dw_taps", (lo, hi)), layer.weights,
+            lambda: pack_depthwise_taps(weight_codes[lo:hi],
+                                        w_qparams.zero_point))
         bias_i32 = self._packed_operand(
             (name, "dw_bias_i32", (lo, hi), x_qparams.scale,
              w_qparams.scale), layer.bias,
             lambda: quantize_bias(bias, x_qparams.scale, w_qparams.scale))
-        acc = acc + np.repeat(
-            np.tile(bias_i32, batch), acc.shape[1]).reshape(acc.shape)
-        out_h, out_w = conv_output_hw(in_h, in_w, layer.kernel,
-                                      layer.stride, layer.padding)
         out_qparams = self._out_qparams(name)
-        codes = requantize(acc, x_qparams.scale, w_qparams.scale,
-                           out_qparams)
-        codes = codes.reshape(batch, channels, out_h, out_w)
-        if layer.relu:
-            codes = np.maximum(codes, np.uint8(out_qparams.zero_point))
+        mantissa, shift = prepare_requantize(
+            x_qparams.scale, w_qparams.scale, out_qparams)
+        codes = depthwise_conv_quint8(
+            x_slice.data, x_qparams.zero_point, taps, bias_i32,
+            layer.stride, layer.padding, mantissa, shift, out_qparams,
+            layer.relu)
         return Tensor(codes, DType.QUINT8, out_qparams)
 
     # -- placement-invariant layers ------------------------------------------

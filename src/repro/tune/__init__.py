@@ -4,7 +4,7 @@
 its shape and dtype favor; this package closes the loop for the
 compiled path.  At compile time a :class:`Tuner` microbenchmarks the
 legal lowerings of every step (im2col+GEMM reference, direct 1x1 GEMM,
-depthwise mat-vec, batch-folded float GEMM, and -- opt-in,
+float depthwise mat-vec, batch-folded float GEMM, and -- opt-in,
 approximate -- Winograd F(2,3)), byte-checks them
 against the reference, and bakes the fastest into the
 :class:`~repro.compile.program.CompiledProgram`.  Decisions persist in

@@ -1,4 +1,5 @@
-"""Tests for the numerical kernels: im2col, GEMM, qgemm, pooling."""
+"""Tests for the numerical kernels: im2col, GEMM, qgemm, integer
+depthwise convolution, pooling."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import ShapeError
-from repro.kernels import (avg_pool, conv_output_hw, flatten_filters,
+from repro.kernels import (avg_pool, conv_output_hw,
+                           depthwise_conv_quint8, flatten_filters,
                            gemm_f16, gemm_f32, global_avg_pool, im2col,
-                           max_pool, qgemm, qgemm_accumulate,
-                           quantize_bias)
+                           max_pool, pack_depthwise_taps, qgemm,
+                           qgemm_accumulate, quantize_bias)
+from repro.quant import requantize_prepared
 from repro.tensor import QuantParams
 
 
@@ -283,3 +286,136 @@ class TestPooling:
     def test_pool_rejects_non_nchw(self):
         with pytest.raises(ShapeError):
             max_pool(np.zeros((4, 4)), 2, 2)
+
+
+def einsum_depthwise_uint8(codes, x_zero, weight_codes, w_zero, bias_i32,
+                           kernel, stride, padding, mantissa, shift,
+                           output, relu):
+    """The im2col + int64 einsum lowering the depthwise kernel replaced:
+    per-channel patch columns padded with the zero point, contracted
+    against the tiled centred filters, wrapped to int32, bias tiled per
+    patch, then requantized."""
+    batch, channels, in_h, in_w = codes.shape
+    columns = im2col(codes.reshape(batch * channels, 1, in_h, in_w),
+                     kernel, stride, padding, pad_value=float(x_zero))
+    lhs = columns.astype(np.int32) - np.int32(x_zero)
+    rhs = (np.tile(weight_codes.reshape(channels, -1),
+                   (batch, 1)).astype(np.int32) - np.int32(w_zero))
+    acc = np.einsum("npk,nk->np", lhs, rhs, dtype=np.int64).astype(
+        np.int32)
+    acc = acc + np.repeat(np.tile(bias_i32, batch),
+                          acc.shape[1]).reshape(acc.shape)
+    out = requantize_prepared(acc, mantissa, shift, output)
+    out_h, out_w = conv_output_hw(in_h, in_w, kernel, stride, padding)
+    out = out.reshape(batch, channels, out_h, out_w)
+    if relu:
+        out = np.maximum(out, np.uint8(output.zero_point))
+    return out
+
+
+class TestDepthwiseUint8:
+    """The shifted-tap int32 kernel equals the im2col + int64 einsum
+    lowering byte for byte."""
+
+    CHANNELS = 6
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_einsum_lowering(self, kernel, stride, padding,
+                                     batch):
+        rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+        channels = self.CHANNELS
+        x = rng.integers(0, 256, (batch, channels, 9, 8)).astype(np.uint8)
+        weights = rng.integers(0, 256, (channels, kernel, kernel)).astype(
+            np.uint8)
+        bias = rng.integers(-5000, 5000, channels).astype(np.int32)
+        # A wide multiplier so codes land across the whole uint8 range.
+        mantissa, shift = 1518500250, 7
+        for x_zero in (0, 128, 255):
+            w_zero = int(rng.integers(0, 256))
+            output = QuantParams(scale=0.1,
+                                 zero_point=int(rng.integers(0, 256)))
+            for lo, hi in ((0, channels), (2, 5)):
+                taps = pack_depthwise_taps(weights[lo:hi], w_zero)
+                for relu in (False, True):
+                    got = depthwise_conv_quint8(
+                        x[:, lo:hi], x_zero, taps, bias[lo:hi], stride,
+                        padding, mantissa, shift, output, relu)
+                    expected = einsum_depthwise_uint8(
+                        np.ascontiguousarray(x[:, lo:hi]), x_zero,
+                        weights[lo:hi], w_zero, bias[lo:hi], kernel,
+                        stride, padding, mantissa, shift, output, relu)
+                    assert got.dtype == np.uint8
+                    assert got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), (
+                        x_zero, (lo, hi), relu)
+
+    def test_accumulator_wraps_like_int32(self):
+        """Extreme taps whose int32 sum wraps: the wrap is the same
+        modular value the int64 contraction truncates to."""
+        x = np.full((1, 2, 7, 7), 255, np.uint8)
+        weights = np.zeros((2, 5, 5), np.uint8)
+        bias = np.array([(1 << 31) - 1, -(1 << 31)], np.int32)
+        output = QuantParams(scale=0.1, zero_point=100)
+        taps = pack_depthwise_taps(weights, 255)
+        got = depthwise_conv_quint8(x, 0, taps, bias, 1, 2, 1 << 30, 0,
+                                    output)
+        expected = einsum_depthwise_uint8(x, 0, weights, 255, bias, 5, 1,
+                                          2, 1 << 30, 0, output, False)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_taps_layout(self):
+        weights = np.arange(2 * 3 * 3, dtype=np.uint8).reshape(2, 3, 3)
+        taps = pack_depthwise_taps(weights, 4)
+        assert taps.shape == (3, 3, 1, 2, 1, 1)
+        assert taps.dtype == np.int32
+        assert taps[1, 2, 0, 1, 0, 0] == int(weights[1, 1, 2]) - 4
+
+    def test_rejects_non_nchw(self):
+        taps = pack_depthwise_taps(np.zeros((2, 3, 3), np.uint8), 0)
+        with pytest.raises(ShapeError):
+            depthwise_conv_quint8(np.zeros((2, 5, 5), np.uint8), 0, taps,
+                                  np.zeros(2, np.int32), 1, 1, 1 << 30, 0,
+                                  QuantParams(scale=0.1, zero_point=0))
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_compiled_mixed_split_matches_executor(
+            self, mobilenet_mini, mobilenet_mini_calibration, batch):
+        """A 0.5 CPU/GPU pfq split: every depthwise step pairs an
+        integer CPU part with an F16 GPU part, and the compiled program
+        stays byte-identical to the functional interpreter."""
+        from repro.runtime import PROCESSOR_FRIENDLY
+        from repro.runtime.executor import Executor
+        from repro.runtime.plan import ExecutionPlan, LayerAssignment
+        from repro.soc import EXYNOS_7420
+        graph = mobilenet_mini
+        assignments = {}
+        for name in graph.compute_layers():
+            if graph.layer(name).supports_channel_split:
+                assignments[name] = LayerAssignment.cooperative(name, 0.5)
+            else:
+                assignments[name] = LayerAssignment.on_cpu(name)
+        plan = ExecutionPlan(graph_name=graph.name,
+                             policy=PROCESSOR_FRIENDLY,
+                             assignments=assignments)
+        executor = Executor(EXYNOS_7420)
+        program = executor.program_for(graph, plan,
+                                       mobilenet_mini_calibration, batch)
+        mixed = [step for step in program.steps
+                 if step.kind == "depthwise_conv"
+                 and {resource for resource, _ in step.placements}
+                 == {"cpu", "gpu"}]
+        assert mixed
+        x = np.random.default_rng(batch).standard_normal(
+            (batch, 3, 32, 32)).astype(np.float32)
+        functional = executor.run(graph, plan, x=x,
+                                  calibration=mobilenet_mini_calibration)
+        compiled = executor.run(graph, plan, x=x,
+                                calibration=mobilenet_mini_calibration,
+                                compiled=True)
+        assert set(functional.outputs) == set(compiled.outputs)
+        for name, tensor in functional.outputs.items():
+            assert (compiled.outputs[name].data.tobytes()
+                    == tensor.data.tobytes()), name

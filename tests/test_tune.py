@@ -25,6 +25,7 @@ from repro.compile import compile_program
 from repro.nn import calibrate_graph
 from repro.runtime import (PROCESSOR_FRIENDLY, UNIFORM_F16, UNIFORM_F32,
                            UNIFORM_QUINT8)
+from repro.runtime.baselines import single_processor_plan
 from repro.runtime.plan import ExecutionPlan, LayerAssignment
 from repro.tune import (CACHE_VERSION, TuneCache, Tuner,
                         default_cache_path, runtime_fingerprint)
@@ -273,6 +274,23 @@ class TestTunedPrograms:
         assert "matvec" in offered
         assert "direct1x1" in offered
 
+    def test_integer_depthwise_offers_no_matvec(
+            self, mobilenet_mini, mobilenet_mini_calibration):
+        """On a CPU-only pfq plan every depthwise step is integer, which
+        has one kernel: no matvec candidate, so no tuning at all."""
+        tuner = Tuner(repeats=1)
+        plan = single_processor_plan(mobilenet_mini, "cpu",
+                                     PROCESSOR_FRIENDLY)
+        program = compile_program(mobilenet_mini, plan,
+                                  mobilenet_mini_calibration, tuner=tuner)
+        depthwise = [s for s in program.steps
+                     if s.kind == "depthwise_conv"]
+        assert depthwise
+        assert all(s.variant == "reference" for s in depthwise)
+        for signature, record in tuner.cache.records().items():
+            if signature.startswith("depthwise_conv"):
+                assert "matvec" not in record["candidates"], signature
+
     def test_winograd_requires_allow_approx(self, vgg_mini,
                                             vgg_mini_calibration, rng):
         plan = _split_plan(vgg_mini, UNIFORM_F32)
@@ -398,6 +416,34 @@ class TestVerifyTunedVariantsPV014:
         report = verify_tuned_variants(squeezenet_mini, plan, program)
         assert not report.ok
         assert any(d.rule == "PV014" for d in report.diagnostics)
+
+    def test_matvec_on_integer_depthwise_flagged(
+            self, mobilenet_mini, mobilenet_mini_calibration):
+        plan = single_processor_plan(mobilenet_mini, "cpu",
+                                     PROCESSOR_FRIENDLY)
+        program = compile_program(mobilenet_mini, plan,
+                                  mobilenet_mini_calibration,
+                                  tuner=Tuner(repeats=1))
+        index, step = next((i, s) for i, s in enumerate(program.steps)
+                           if s.kind == "depthwise_conv")
+        program.steps = list(program.steps)
+        program.steps[index] = dataclasses.replace(step, variant="matvec")
+        report = verify_tuned_variants(mobilenet_mini, plan, program)
+        assert any(d.rule == "PV014" and "all-integer" in d.message
+                   for d in report.diagnostics)
+
+    def test_matvec_on_mixed_depthwise_passes(
+            self, mobilenet_mini, mobilenet_mini_calibration):
+        """The split plan's depthwise steps carry an F16 GPU part, so
+        matvec stays legal there."""
+        plan, program = self._tuned(mobilenet_mini,
+                                    mobilenet_mini_calibration)
+        index, step = next((i, s) for i, s in enumerate(program.steps)
+                           if s.kind == "depthwise_conv")
+        program.steps = list(program.steps)
+        program.steps[index] = dataclasses.replace(step, variant="matvec")
+        report = verify_tuned_variants(mobilenet_mini, plan, program)
+        assert report.ok, report.render()
 
     def test_winograd_without_allow_approx_flagged(
             self, vgg_mini, vgg_mini_calibration):
