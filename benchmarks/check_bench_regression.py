@@ -20,17 +20,6 @@ against a freshly generated run and exits non-zero when:
   warm speedup (``compiled.summary.speedup``) shrank, by more than the
   threshold factor.  Runs without the block (``--no-compiled``) skip
   these gates with a notice.
-* when the fresh run carries an ``autotuned`` block (the
-  profile-guided kernel-variant path; byte-identity against the
-  functional output is asserted inside the benchmark itself): some
-  step must have chosen a non-reference variant, and -- when the
-  baseline carries the block too -- each cell's tuned time
-  (``autotuned.cells[*].autotuned_ms``) and the tuned total time
-  (``autotuned.summary.autotuned_total_ms``) must not grow by more
-  than the threshold factor.  The tuned-over-untuned geomean is
-  printed, not gated: cells with nothing to tune measure 1.0 plus
-  noise.  Runs without the block (``--no-autotune``) skip these
-  gates with a notice.
 
 Cold absolute time is reported but not gated: it measures the uncached
 reference path, whose wall clock mostly tracks runner speed, and the
@@ -128,48 +117,6 @@ def _check_e2e(baseline: dict, fresh: dict, threshold: float) -> bool:
                         baseline_compiled["summary"]["speedup"],
                         fresh_compiled["summary"]["speedup"],
                         threshold, lower_is_better=False)
-    regressed |= _check_autotuned(baseline.get("autotuned"),
-                                  fresh.get("autotuned"), threshold)
-    return regressed
-
-
-def _check_autotuned(baseline: "dict | None", fresh: "dict | None",
-                     threshold: float) -> bool:
-    """The autotuning gates; True when anything regressed."""
-    if fresh is None:
-        print("  autotuned gates skipped: fresh run has no autotuned "
-              "block")
-        return False
-    regressed = False
-    print(f"  autotuned.geomean_speedup (informational): "
-          f"{fresh['summary']['geomean_speedup']:.3f}x")
-    variants = fresh.get("variants", {})
-    chosen = {name: count for name, count in variants.items()
-              if name != "reference"}
-    if not chosen:
-        print("  autotuned.variants: no non-reference variant chosen "
-              "anywhere -- REGRESSED")
-        regressed = True
-    else:
-        summary = ", ".join(f"{name} x{count}"
-                            for name, count in sorted(chosen.items()))
-        print(f"  autotuned.variants: {summary}")
-    if baseline is None:
-        print("  autotuned time gates skipped: baseline run has no "
-              "autotuned block")
-        return regressed
-    for name in sorted(fresh["cells"]):
-        if name not in baseline["cells"]:
-            print(f"  autotuned_ms[{name}]: no baseline cell, skipped")
-            continue
-        regressed |= _check(f"autotuned_ms[{name}]",
-                            baseline["cells"][name]["autotuned_ms"],
-                            fresh["cells"][name]["autotuned_ms"],
-                            threshold, lower_is_better=True)
-    regressed |= _check("autotuned.autotuned_total_ms",
-                        baseline["summary"]["autotuned_total_ms"],
-                        fresh["summary"]["autotuned_total_ms"],
-                        threshold, lower_is_better=True)
     return regressed
 
 

@@ -53,48 +53,6 @@ def test_bench_max_pool(benchmark, conv_input):
     assert out.shape == (1, 64, 28, 28)
 
 
-def test_bench_conv1x1_direct(benchmark, conv_input):
-    """The direct NCHW GEMM the autotuner offers for 1x1 convs --
-    the im2col copy and the output fold it skips are the whole
-    point, so compare against test_bench_im2col + test_bench_gemm."""
-    from repro.kernels import conv1x1_direct_f32
-    weights = RNG.standard_normal((128, 64, 1, 1)).astype(np.float32)
-    bias = RNG.standard_normal(128).astype(np.float32)
-    out = benchmark(conv1x1_direct_f32, conv_input, weights, bias)
-    assert out.shape == (1, 128, 56, 56)
-
-
-def test_bench_conv1x1_im2col_reference(benchmark, conv_input):
-    """The im2col+GEMM reference lowering of the same 1x1 conv, for a
-    side-by-side read against test_bench_conv1x1_direct."""
-    weights = RNG.standard_normal((128, 64, 1, 1)).astype(np.float32)
-    bias = RNG.standard_normal(128).astype(np.float32)
-    rhs = weights.reshape(128, 64).T.copy()
-
-    def reference():
-        columns = im2col(conv_input, 1, 1, 0)
-        rows = columns.reshape(-1, 64) @ rhs + bias
-        return rows.reshape(1, 56 * 56, 128).transpose(
-            0, 2, 1).reshape(1, 128, 56, 56)
-
-    out = benchmark(reference)
-    assert out.shape == (1, 128, 56, 56)
-
-
-def test_bench_depthwise_matvec(benchmark):
-    """The batched mat-vec depthwise contraction vs the einsum it
-    replaces (asserted equal on the same operands).  Float-only: the
-    tuner offers it to float depthwise parts; integer parts run
-    depthwise_conv_quint8."""
-    from repro.kernels import depthwise_matvec
-    columns = RNG.standard_normal((64, 3136, 9)).astype(np.float32)
-    filters = RNG.standard_normal((64, 9)).astype(np.float32)
-    out = benchmark(depthwise_matvec, columns, filters)
-    assert out.shape == (64, 3136)
-    reference = np.einsum("npk,nk->np", columns, filters)
-    assert np.allclose(out, reference, rtol=1e-5, atol=1e-6)
-
-
 @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
 def test_bench_max_pool_padded(benchmark, dtype):
     """GoogLeNet's pool1/3x3_s2 (k3 s2 p1 on 1x64x112x112), checked
@@ -154,18 +112,6 @@ def test_bench_requantize(benchmark):
     reference = np.clip(rounded + output.zero_point, 0, 255).astype(
         np.uint8)
     assert out.tobytes() == reference.tobytes()
-
-
-def test_bench_winograd_conv3x3(benchmark, conv_input):
-    """The F(2,3) Winograd conv the autotuner offers under
-    --allow-approx (tolerance-checked, never byte-checked)."""
-    from repro.kernels import (winograd_conv3x3,
-                               winograd_filter_transform)
-    weights = RNG.standard_normal((64, 64, 3, 3)).astype(np.float32)
-    bias = RNG.standard_normal(64).astype(np.float32)
-    u16 = winograd_filter_transform(weights)
-    out = benchmark(winograd_conv3x3, conv_input, u16, bias, 1)
-    assert out.shape == (1, 64, 56, 56)
 
 
 def test_bench_mulayer_planning(benchmark):

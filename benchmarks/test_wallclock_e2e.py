@@ -3,8 +3,7 @@
 Times end-to-end functional inference cold (fresh uncached computer
 per inference -- the pre-cache behaviour) versus warm (persistent
 operand caches), the compiled fused path versus the warm functional
-path, the autotuned compiled path versus the untuned one, and the
-verification sweep serial versus parallel, then writes
+path, and the verification sweep serial versus parallel, then writes
 the numbers to ``BENCH_e2e.json`` at the repo root so the perf
 trajectory is tracked across PRs
 (``benchmarks/check_bench_regression.py`` compares a fresh run against
@@ -66,27 +65,6 @@ def test_wallclock_e2e():
     # below that so a noisy CI runner does not flake the suite -- the
     # regression checker tracks the real trajectory.
     assert compiled["summary"]["speedup"] > 1.1
-
-    autotuned = results["autotuned"]
-    # Every mini cell ran through the tuner; byte-identity of the
-    # tuned program against the warm functional reference is asserted
-    # inside the benchmark itself, before and after timing.
-    for model in minis:
-        for policy in ("pfq", "quint8", "f16", "f32"):
-            cell = autotuned["cells"][f"{model}/{policy}"]
-            assert cell["autotuned_ms"] > 0.0, (model, policy, cell)
-            assert cell["compiled_ms"] > 0.0, (model, policy, cell)
-            assert cell["tune_ms"] > 0.0, (model, policy, cell)
-    # The tuner must have actually picked non-reference variants
-    # somewhere in the grid, or the candidate lowerings regressed.
-    chosen = {name: count
-              for name, count in autotuned["variants"].items()
-              if name != "reference" and count > 0}
-    assert chosen, autotuned["variants"]
-    # No speedup bar here: cells with nothing to tune measure 1.0 plus
-    # noise, so the geomean is informational.  check_bench_regression.py
-    # gates each cell's autotuned_ms against the committed baseline.
-    assert autotuned["summary"]["autotuned_total_ms"] > 0.0
 
     summary = results["summary"]
     assert summary["warm_total_ms"] > 0.0

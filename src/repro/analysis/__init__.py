@@ -7,9 +7,7 @@ Six analyzers, one diagnostic vocabulary:
   graph and SoC before anything runs (rules ``PV001``-``PV011``),
   and -- via :func:`verify_program` -- proves a lowered
   :class:`~repro.compile.program.CompiledProgram` consistent with the
-  plan it claims to implement (rule ``PV012``) and
-  :func:`verify_tuned_variants` proves its autotuned kernel variants
-  legal (rule ``PV014``);
+  plan it claims to implement (rule ``PV012``);
 * :class:`TimelineRaceDetector` -- checks a post-run
   :class:`~repro.soc.Timeline` against the graph's happens-before
   relation and the CPU-accelerator handoff protocol
@@ -43,8 +41,7 @@ from .dtypeflow import DtypeFact, DtypeFlowLinter
 from .memory import (ArenaLayout, ArenaSlot, BufferInterval,
                      FootprintSummary, MemoryFootprintAnalyzer,
                      build_arena)
-from .plan_verifier import (PlanVerifier, verify_program,
-                            verify_tuned_variants)
+from .plan_verifier import PlanVerifier, verify_program
 from .races import TimelineRaceDetector
 from .sarif import (apply_baseline, baseline_document, fingerprint,
                     load_baseline, report_to_sarif, split_locus)
@@ -92,6 +89,5 @@ __all__ = [
     "verify_mechanism",
     "verify_run",
     "verify_static",
-    "verify_tuned_variants",
     "verify_sweep",
 ]

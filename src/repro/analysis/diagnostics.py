@@ -68,10 +68,6 @@ RULES: Dict[str, str] = {
     "PV012": "compiled program inconsistent with its plan (step "
              "coverage, placements, channel ranges, storage dtypes, "
              "batch, or stale weight references)",
-    "PV014": "tuned kernel variant illegal for its step (unknown "
-             "variant name, variant on a shape/kind/dtype it was never "
-             "derived for, approximate variant without allow_approx, "
-             "or a non-reference variant in an untuned program)",
     # -- TimelineRaceDetector ----------------------------------------------
     "RC001": "two busy intervals overlap on one resource",
     "RC002": "compute segment starts before a producer layer's compute "
@@ -95,13 +91,14 @@ RULES: Dict[str, str] = {
     # -- MemoryFootprintAnalyzer -------------------------------------------
     "MF001": "peak memory footprint exceeds the SoC's shared DRAM "
              "capacity",
-    "MF002": "a single buffer (weight set, activation, or im2col "
-             "columns) exceeds the SoC's DRAM capacity on its own",
+    "MF002": "a single buffer (weight set, activation, or transient "
+             "kernel buffers) exceeds the SoC's DRAM capacity on its "
+             "own",
     "MF003": "peak memory footprint above the high watermark of DRAM "
              "capacity (shared-memory contention risk)",
-    "MF004": "im2col lowering dominates the footprint: one layer's "
-             "transient column matrix exceeds the configured fraction "
-             "of DRAM capacity",
+    "MF004": "transient kernel buffers dominate the footprint: one "
+             "layer's im2col columns (or integer depthwise scratch) "
+             "exceed the configured fraction of DRAM capacity",
     "MF005": "persistent packed-operand cache occupies more than the "
              "configured fraction of DRAM capacity",
     "MF006": "arena layout inconsistent (overlapping live slots, or an "

@@ -16,9 +16,12 @@ The analysis walks the graph in topological order:
 * weights and the packed-operand cache are resident for the whole
   execution, attributed per processor via the plan's channel shares
   and the policy's per-processor storage/compute dtypes;
-* conv/depthwise layers additionally hold their im2col column matrix
-  during their own step (the functional executor's per-inference
-  column cache);
+* conv/depthwise layers additionally hold transient kernel buffers
+  during their own step: the im2col column matrix (the functional
+  executor's per-inference column cache), or -- for an integer
+  depthwise part, which builds no columns -- the padded int32 input,
+  the int32 accumulator and tap product, and the int64 requantize
+  scratch of :func:`~repro.kernels.depthwise_conv_quint8`;
 * everything activation-shaped scales with the batch; weights do not.
 
 The same liveness intervals drive :func:`build_arena`: a first-fit
@@ -38,10 +41,18 @@ from ..nn.layer import LayerKind
 from ..runtime.pfq import QuantizationPolicy
 from ..runtime.plan import ExecutionPlan, LayerAssignment
 from ..soc import SoCSpec
+from ..tensor import DType
 from .diagnostics import Report
 
-#: Layer kinds whose functional path lowers the input through im2col.
-_IM2COL_KINDS = (LayerKind.CONV, LayerKind.DEPTHWISE_CONV)
+#: Layer kinds whose step holds transient kernel buffers.
+_TRANSIENT_KINDS = (LayerKind.CONV, LayerKind.DEPTHWISE_CONV)
+
+#: Bytes per element of the integer depthwise kernel's buffers: the
+#: padded input (int32) per input element; the accumulator (int32),
+#: tap product (int32) and requantize scratch (int64) per output
+#: element.
+_DW_INT_PADDED_ITEMSIZE = 4
+_DW_INT_OUTPUT_ITEMSIZE = 4 + 4 + 8
 
 
 def _mb(nbytes: float) -> str:
@@ -255,7 +266,8 @@ class FootprintSummary:
         packed_bytes: persistent packed-operand cache (weights
             re-packed in each processor's compute dtype).
         activation_peak_bytes: largest live activation set over steps.
-        transient_peak_bytes: largest single im2col column matrix.
+        transient_peak_bytes: largest single step's transient kernel
+            buffers (im2col columns or integer depthwise scratch).
         peak_bytes: weights + packed cache + the worst step's live
             activations and transients -- the number checked against
             capacity.
@@ -305,7 +317,7 @@ class MemoryFootprintAnalyzer:
         soc: the SoC whose shared DRAM bounds the plan.
         high_watermark: fraction of capacity above which MF003 warns.
         im2col_fraction: fraction of capacity one layer's transient
-            column matrix may occupy before MF004 warns.
+            kernel buffers may occupy before MF004 warns.
         packed_fraction: fraction of capacity the persistent packed-
             operand cache may occupy before MF005 warns.
     """
@@ -375,11 +387,16 @@ class MemoryFootprintAnalyzer:
                     per_processor.get(resource, 0) + stored + packed)
         return weight_bytes, packed_bytes, per_processor
 
-    def _im2col_bytes(self, graph: Graph, plan: ExecutionPlan,
-                      name: str, batch: int) -> int:
-        """Transient column-matrix bytes of one conv-shaped layer."""
+    def _transient_bytes(self, graph: Graph, plan: ExecutionPlan,
+                         name: str, batch: int) -> int:
+        """Transient kernel bytes of one conv-shaped layer's step.
+
+        The largest charge over the layer's pipelines, each taken over
+        the whole layer: an im2col column matrix in the compute dtype,
+        or the integer depthwise kernel's int32/int64 buffers.
+        """
         layer = graph.layer(name)
-        if layer.kind not in _IM2COL_KINDS:
+        if layer.kind not in _TRANSIENT_KINDS:
             return 0
         shapes = graph.infer_shapes()
         out_shape = shapes[name]
@@ -389,11 +406,25 @@ class MemoryFootprintAnalyzer:
             channels = int(getattr(layer, "in_channels"))
         else:
             channels = int(getattr(layer, "channels"))
-        elements = channels * kernel * kernel * out_hw * batch
-        itemsize = max(
-            plan.policy.compute_dtype(resource).itemsize
-            for resource in self._shares_of(plan, graph, name))
-        return elements * itemsize
+        columns = channels * kernel * kernel * out_hw * batch
+        policy = plan.policy
+        charges = []
+        for resource in self._shares_of(plan, graph, name):
+            compute = policy.compute_dtype(resource)
+            if (layer.kind is LayerKind.DEPTHWISE_CONV
+                    and policy.activation_storage is DType.QUINT8
+                    and compute is DType.QUINT8):
+                (producer,) = graph.inputs_of(name)
+                in_shape = shapes[producer]
+                pad = 2 * int(getattr(layer, "padding"))
+                padded = (batch * channels * (int(in_shape[2]) + pad)
+                          * (int(in_shape[3]) + pad))
+                charges.append(
+                    padded * _DW_INT_PADDED_ITEMSIZE
+                    + batch * channels * out_hw * _DW_INT_OUTPUT_ITEMSIZE)
+            else:
+                charges.append(columns * compute.itemsize)
+        return max(charges)
 
     # -- the analysis --------------------------------------------------------
 
@@ -413,7 +444,7 @@ class MemoryFootprintAnalyzer:
             step = index[name]
             live = sum(b.nbytes for b in intervals
                        if b.start <= step <= b.end)
-            transient = self._im2col_bytes(graph, plan, name, chosen) \
+            transient = self._transient_bytes(graph, plan, name, chosen) \
                 if name in plan.assignments or name in set(
                     graph.compute_layers()) else 0
             transient_peak = max(transient_peak, transient)
@@ -473,17 +504,17 @@ class MemoryFootprintAnalyzer:
                     f"(batch {chosen}) exceeds the {_mb(capacity)} "
                     "DRAM capacity on its own")
         for name in graph.compute_layers():
-            columns = self._im2col_bytes(graph, plan, name, chosen)
+            columns = self._transient_bytes(graph, plan, name, chosen)
             if columns > capacity:
                 report.error(
                     "MF002", name,
-                    f"im2col column matrix of {_mb(columns)} (batch "
-                    f"{chosen}) exceeds the {_mb(capacity)} DRAM "
-                    "capacity on its own")
+                    f"transient kernel buffers of {_mb(columns)} (batch "
+                    f"{chosen}) exceed the {_mb(capacity)} DRAM "
+                    "capacity on their own")
             elif columns > self.im2col_fraction * capacity:
                 report.warning(
                     "MF004", name,
-                    f"transient im2col columns of {_mb(columns)} "
+                    f"transient kernel buffers of {_mb(columns)} "
                     f"(batch {chosen}) occupy more than "
                     f"{self.im2col_fraction:.0%} of DRAM; consider "
                     "tiled lowering or a smaller batch")

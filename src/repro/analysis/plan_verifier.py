@@ -1,4 +1,4 @@
-"""Static verification of execution plans (rules PV001-PV012, PV014).
+"""Static verification of execution plans (rules PV001-PV012).
 
 The partitioner validates the plans it builds, but plans also arrive
 from other sources -- hand-written baselines, future serialized plans,
@@ -28,11 +28,7 @@ reports *every* violation as a structured diagnostic:
   :class:`~repro.compile.program.CompiledProgram`'s declarative
   metadata -- step coverage and order, per-step placements and channel
   ranges, storage dtypes, batch, and weight freshness -- against the
-  plan it claims to lower (PV012);
-* tuned-variant legality: :func:`verify_tuned_variants` proves every
-  autotuned step's kernel variant statically legal for its step's
-  kind, geometry, dtype, batch, and the program's identity tier
-  (PV014).
+  plan it claims to lower (PV012).
 """
 
 from __future__ import annotations
@@ -434,95 +430,3 @@ def verify_program(graph: Graph, plan: ExecutionPlan,
                 f"{expected}")
     return report
 
-
-# -- tuned-variant legality (PV014) -------------------------------------------
-
-def verify_tuned_variants(graph: Graph, plan: ExecutionPlan,
-                          program: "CompiledProgram") -> Report:
-    """PV014: prove every tuned step's kernel variant legal.
-
-    The autotuner validates variants dynamically (byte identity on a
-    synthesized input); this rule re-proves the *static* side of each
-    selection from the program's metadata alone, so a tampered or
-    hand-built program cannot smuggle a variant onto a step shape it
-    was never derived for:
-
-    * the variant name is known;
-    * ``direct1x1`` only on 1x1/stride-1/unpadded convs (anything else
-      has a non-trivial im2col the direct GEMM would skip);
-    * ``folded`` only on conv/FC steps at batch > 1 (at batch 1 the
-      reference is already a single GEMM call);
-    * ``matvec`` only on depthwise convs with a float part (integer
-      parts have one kernel, which ignores it);
-    * ``winograd`` only on 3x3/stride-1 convs under float storage, and
-      only in a program compiled with ``allow_approx`` (it is the one
-      variant exempt from byte identity);
-    * an untuned program carries the reference lowering everywhere.
-
-    Returns a report with one PV014 error per violated invariant.
-    """
-    report = Report()
-
-    def bad(locus: str, message: str) -> None:
-        report.error("PV014", locus, message)
-
-    tuned = bool(getattr(program, "tuned", False))
-    allow_approx = bool(getattr(program, "allow_approx", False))
-    storage = plan.policy.activation_storage
-    batch = program.batch
-    for step in program.steps:
-        variant = getattr(step, "variant", "reference")
-        if variant == "reference":
-            continue
-        locus = step.layer
-        if not tuned:
-            bad(locus, f"untuned program carries variant {variant!r}; "
-                "only autotuned compilation may deviate from the "
-                "reference lowering")
-        if step.layer not in graph:
-            bad(locus, f"variant {variant!r} on a step absent from the "
-                "graph")
-            continue
-        layer = graph.layer(step.layer)
-        kernel = getattr(layer, "kernel", None)
-        stride = getattr(layer, "stride", None)
-        padding = getattr(layer, "padding", None)
-        if variant == "direct1x1":
-            if step.kind != "conv":
-                bad(locus, f"direct1x1 on a {step.kind!r} step; only "
-                    "convolutions have an im2col to skip")
-            elif (kernel, stride, padding) != (1, 1, 0):
-                bad(locus, "direct1x1 requires a 1x1/stride-1/unpadded "
-                    f"conv, got kernel={kernel} stride={stride} "
-                    f"padding={padding}")
-        elif variant == "folded":
-            if step.kind not in ("conv", "fc"):
-                bad(locus, f"folded GEMM on a {step.kind!r} step")
-            elif not isinstance(batch, int) or batch <= 1:
-                bad(locus, "folded GEMM at batch "
-                    f"{batch!r}; the reference already makes a single "
-                    "GEMM call per part at batch 1")
-        elif variant == "matvec":
-            if step.kind != "depthwise_conv":
-                bad(locus, f"matvec on a {step.kind!r} step; it "
-                    "lowers the depthwise per-channel contraction")
-            elif storage is DType.QUINT8 and all(
-                    plan.policy.compute_dtype(resource) is DType.QUINT8
-                    for resource, _ in step.placements):
-                bad(locus, "matvec on an all-integer depthwise step; "
-                    "it lowers only float parts")
-        elif variant == "winograd":
-            if step.kind != "conv":
-                bad(locus, f"winograd on a {step.kind!r} step")
-            elif (kernel, stride) != (3, 1):
-                bad(locus, "winograd F(2,3) requires a 3x3/stride-1 "
-                    f"conv, got kernel={kernel} stride={stride}")
-            if storage is DType.QUINT8:
-                bad(locus, "winograd under quantized activation "
-                    "storage; it is float-only")
-            if not allow_approx:
-                bad(locus, "approximate variant in a program compiled "
-                    "without allow_approx")
-        else:
-            bad(locus, f"unknown kernel variant {variant!r}")
-    return report

@@ -76,22 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "byte-identity against the per-layer "
                           "interpreter, and reports the program's "
                           "fused steps and arena size")
-    run.add_argument("--autotune", action="store_true",
-                     help="with --compiled: microbenchmark the legal "
-                          "kernel variants of every fused step at "
-                          "compile time and bake the fastest into the "
-                          "program (decisions persist in the tune "
-                          "cache)")
-    run.add_argument("--tune-cache", default=None, metavar="PATH",
-                     help="tune-cache file for --autotune (default: "
-                          "~/.cache/repro-tune/cache.json, or "
-                          "$XDG_CACHE_HOME when set)")
-    run.add_argument("--allow-approx", action="store_true",
-                     help="with --autotune: also consider approximate "
-                          "variants (Winograd F(2,3) for 3x3/stride-1 "
-                          "float convs), tolerance-checked instead of "
-                          "byte-checked; the run's own identity check "
-                          "then compares within tolerance too")
     run.add_argument("--plan", action="store_true",
                      help="print the execution plan")
     run.add_argument("--gantt", action="store_true",
@@ -159,20 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "their plans (serve dispatches are "
                             "timing-only, so this exercises the "
                             "program cache plumbing)")
-    serve.add_argument("--autotune", action="store_true",
-                       help="with --compiled: autotune compiled "
-                            "programs through one shared tuner; plan "
-                            "warming then compiles and tunes each "
-                            "unique (model, soc, batch) program once "
-                            "for the whole fleet")
-    serve.add_argument("--tune-cache", default=None, metavar="PATH",
-                       help="tune-cache file for --autotune (default: "
-                            "~/.cache/repro-tune/cache.json, or "
-                            "$XDG_CACHE_HOME when set)")
-    serve.add_argument("--allow-approx", action="store_true",
-                       help="with --autotune: also consider "
-                            "approximate variants (Winograd F(2,3)); "
-                            "tolerance-checked, not byte-checked")
     serve.add_argument("--plan-cache-size", type=int, default=None,
                        metavar="N",
                        help="bound the shared plan cache to N entries "
@@ -380,14 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "path against the warm functional path "
                             "and emit the 'compiled' block (default "
                             "on; --no-compiled skips it)")
-    bench.add_argument("--autotune", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="benchmark the autotuned compiled path "
-                            "against the untuned compiled baseline "
-                            "and emit the 'autotuned' block (fresh "
-                            "in-memory tuner, byte-identity asserted; "
-                            "default on; requires --compiled; "
-                            "--no-autotune skips it)")
     bench.add_argument("--serve-batch", action="store_true",
                        help="run the serving-throughput benchmark "
                             "instead: batch size x arrival rate sweep "
@@ -431,36 +393,19 @@ def _cmd_list_socs() -> int:
     return 0
 
 
-def _make_tuner(args: argparse.Namespace):
-    """The Tuner the --autotune flags ask for, or None."""
-    if not getattr(args, "autotune", False):
-        return None
-    from .tune import TuneCache, Tuner, default_cache_path
-    path = (args.tune_cache if args.tune_cache is not None
-            else default_cache_path())
-    return Tuner(cache=TuneCache(path),
-                 allow_approx=args.allow_approx)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     soc = soc_by_name(args.soc)
     if args.compiled and args.mechanism != "mulayer":
         print("run: --compiled requires --mechanism mulayer",
               file=sys.stderr)
         return 2
-    if args.autotune and not args.compiled:
-        print("run: --autotune requires --compiled", file=sys.stderr)
-        return 2
     graph = build_model(args.model, with_weights=args.compiled)
     compiled_info: Optional[Dict[str, object]] = None
     if args.mechanism == "mulayer":
-        tuner = _make_tuner(args)
         runtime = MuLayer(soc, use_oracle_costs=args.oracle,
-                          compiled=args.compiled, tuner=tuner)
+                          compiled=args.compiled)
         if args.compiled:
             result, compiled_info = _run_compiled(runtime, graph)
-            if tuner is not None:
-                tuner.flush()
         else:
             result = runtime.run(graph)
         plan = runtime.plan(graph)
@@ -503,19 +448,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if compiled_info is not None:
         identical = compiled_info["byte_identical"]
         steps = compiled_info["steps"]
-        tuned = ", autotuned" if compiled_info.get("tuned") else ""
         print(f"\ncompiled program ({len(steps)} fused steps, arena "
               f"{compiled_info['arena_bytes']} bytes in "
-              f"{compiled_info['arena_slots']} slots{tuned}):")
+              f"{compiled_info['arena_slots']} slots):")
         for step in steps:
             where = "+".join(p["resource"]
                              for p in step["placements"]) or "-"
             print(f"  {step['layer']:24s} {step['kind']:15s} "
-                  f"{step['variant']:12s} [{where}]")
-        check = ("within tolerance of"
-                 if compiled_info.get("allow_approx")
-                 else "byte-identical to")
-        print(f"  {check} the interpreter: {identical}")
+                  f"[{where}]")
+        print(f"  byte-identical to the interpreter: {identical}")
     if args.gantt:
         from .harness import render_gantt
         print("\n" + render_gantt(result.timeline, width=100))
@@ -539,20 +480,10 @@ def _run_compiled(runtime: MuLayer, graph
     reference = runtime.run(graph, x, calibration=calibration,
                             compiled=False)
     program = runtime.program(graph, calibration=calibration)
-    if program.allow_approx:
-        # Approximate variants (Winograd) are in play: the identity
-        # bar relaxes to the tuner's own acceptance tolerance.
-        identical = all(
-            np.allclose(
-                result.outputs[name].data.astype(np.float64),
-                reference.outputs[name].data.astype(np.float64),
-                rtol=1e-3, atol=1e-4)
-            for name in reference.outputs)
-    else:
-        identical = all(
-            result.outputs[name].data.tobytes()
-            == reference.outputs[name].data.tobytes()
-            for name in reference.outputs)
+    identical = all(
+        result.outputs[name].data.tobytes()
+        == reference.outputs[name].data.tobytes()
+        for name in reference.outputs)
     info = program.describe()
     info["byte_identical"] = identical
     return result, info
@@ -716,15 +647,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     soc_names = args.socs or ["exynos7420"]
     models = (args.models.split(",") if args.models
               else list(MINI_MODELS))
-    if args.autotune and not args.compiled:
-        print("serve: --autotune requires --compiled",
-              file=sys.stderr)
-        return 2
     plan_cache = (PlanCache(max_entries=args.plan_cache_size)
                   if args.plan_cache_size is not None else None)
-    tuner = _make_tuner(args)
     fleet = Fleet.build(soc_names, args.devices, plan_cache=plan_cache,
-                        compiled=args.compiled, tuner=tuner)
+                        compiled=args.compiled)
     batch_timeout_s = (args.batch_timeout_ms / 1e3
                        if args.batch_timeout_ms is not None else None)
     scheduler = make_scheduler(args.scheduler, max_batch=args.max_batch,
@@ -734,8 +660,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fleet.warm_plans(models, jobs=args.jobs,
                          batches=tuple(range(1, max_batch + 1)),
                          programs=args.compiled)
-        if tuner is not None:
-            tuner.flush()
     slos = default_slos(fleet, models, slo_factor=args.slo_factor)
     capacity = fleet.capacity_rps(models)
     if args.load is not None:
@@ -805,8 +729,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                        None),
         }
         payload["plan_cache"] = fleet.plan_cache.stats()
-        if tuner is not None:
-            payload["tune_cache"] = tuner.cache.stats()
         print(json.dumps(payload, indent=2))
         return 0
     device_names = ", ".join(d.device_id for d in fleet.devices)
@@ -1098,8 +1020,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(render_serve_batch_bench(results))
         return 0
     results = run_bench(models=models, repeats=args.repeats,
-                        jobs=args.jobs, compiled=args.compiled,
-                        autotune=args.autotune)
+                        jobs=args.jobs, compiled=args.compiled)
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

@@ -47,9 +47,7 @@ since their parts genuinely differ numerically.
 
 from __future__ import annotations
 
-import zlib
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Tuple, Union)
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,12 +58,9 @@ from ..kernels import (conv_output_hw, depthwise_conv_quint8,
                        pack_depthwise_taps, qgemm_fused)
 from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
                              quantize_bias)
-from ..kernels.variants import (depthwise_matvec, winograd_conv3x3,
-                                winograd_filter_transform)
 from ..nn import Graph, LayerKind
 from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected, Input
-from ..quant import (dequantize_lut, dequantize_to_half,
-                     prepare_requantize, requantize_prepared)
+from ..quant import dequantize_lut, dequantize_to_half, prepare_requantize
 from ..quant.calibrate import CalibrationTable
 from ..runtime.distribution import channel_ranges
 from ..runtime.plan import ExecutionPlan, LayerAssignment
@@ -73,18 +68,8 @@ from ..tensor import DType, QuantParams
 from .program import (CompiledProgram, CompiledStep, InputSpec,
                       PlacementPart, PrepareFn, StepFn)
 
-if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
-    from ..tune import Tuner
-
 #: Layers lowered through the shared GEMM path.
 _GemmLayer = Union[Conv2D, FullyConnected]
-
-#: A lowering candidate offered to the tuner: (variant name, step fn).
-_StepCandidate = Tuple[str, StepFn]
-
-#: Variants validated by tolerance instead of byte identity; legal
-#: only when the tuner runs with ``allow_approx``.
-APPROX_VARIANTS = frozenset({"winograd"})
 
 #: Kinds whose quantization parameters pass through from their input.
 _QPARAMS_PASSTHROUGH = frozenset({
@@ -138,13 +123,11 @@ class _Lowering:
 
     def __init__(self, graph: Graph, plan: ExecutionPlan,
                  calibration: Optional[CalibrationTable],
-                 batch: int,
-                 tuner: "Optional[Tuner]" = None) -> None:
+                 batch: int) -> None:
         self.graph = graph
         self.plan = plan
         self.calibration = calibration
         self.batch = batch
-        self.tuner = tuner
         self.policy = plan.policy
         self.storage = plan.policy.activation_storage
         self.shapes = graph.infer_shapes()
@@ -202,76 +185,9 @@ class _Lowering:
         w_qparams = QuantParams.from_array(weights)
         return w_qparams.quantize(weights), w_qparams
 
-    # -- autotuning -----------------------------------------------------------
-
-    def _signature(self, name: str) -> str:
-        """The step's tuning signature: everything the kernel ranking
-        can depend on (op, geometry, shapes, dtypes, placements,
-        batch) and nothing it cannot (layer/model names are absent, so
-        identical steps share one cache record)."""
-        layer = self.graph.layer(name)
-        geometry = []
-        for attr in ("kernel", "stride", "padding", "out_channels",
-                     "out_features", "relu", "axis"):
-            value = getattr(layer, attr, None)
-            if value is not None:
-                geometry.append(f"{attr}={value}")
-        parts = ",".join(
-            f"{resource}:{self.policy.compute_dtype(resource).name}"
-            f":{rng}"
-            for resource, rng in self.placement_parts(name))
-        in_shapes = "/".join(
-            "x".join(str(d) for d in self.out_shape(producer))
-            for producer in self.graph.inputs_of(name))
-        return (f"{layer.kind.value}|{';'.join(geometry)}|in={in_shapes}"
-                f"|store={self.storage.name}|parts={parts}"
-                f"|batch={self.batch}")
-
-    def _tune_input(self, name: str,
-                    signature: str) -> Callable[[], np.ndarray]:
-        """Deterministic synthetic input for the step's producer.
-
-        Seeded from the signature so identical steps tune on identical
-        data, independent of layer or model naming.
-        """
-        (producer,) = self.graph.inputs_of(name)
-        shape = self.out_shape(producer)
-        storage = self.storage
-        seed = zlib.crc32(signature.encode("utf-8"))
-
-        def make_input() -> np.ndarray:
-            rng = np.random.default_rng(seed)
-            if storage is DType.QUINT8:
-                return rng.integers(0, 256, size=shape, dtype=np.uint8)
-            return rng.standard_normal(shape).astype(
-                storage.numpy_dtype)
-
-        return make_input
-
-    def _choose(self, name: str, candidates: List[_StepCandidate]
-                ) -> Tuple[StepFn, str]:
-        """Ask the tuner to pick among the step's legal lowerings.
-
-        ``candidates[0]`` is the reference; without a tuner (or with a
-        single candidate) it wins unconditionally, so untuned
-        compilation is exactly the code path that existed before
-        autotuning.
-        """
-        ref_name, ref_fn = candidates[0]
-        if self.tuner is None or len(candidates) == 1:
-            return ref_fn, ref_name
-        signature = self._signature(name)
-        winner = self.tuner.select(
-            signature, candidates, self._tune_input(name, signature),
-            approx=APPROX_VARIANTS)
-        for cand, fn in candidates:
-            if cand == winner:
-                return fn, cand
-        return ref_fn, ref_name
-
     # -- GEMM layers (conv / FC) ----------------------------------------------
 
-    def lower_gemm(self, name: str) -> Tuple[StepFn, str]:
+    def lower_gemm(self, name: str) -> StepFn:
         layer = self.graph.layer(name)
         assert isinstance(layer, (Conv2D, FullyConnected))
         if layer.weights is None or layer.bias is None:
@@ -292,44 +208,14 @@ class _Lowering:
         # call shapes at batch > 1; integer pipelines always fold.
         chunk = per_sample_rows if self.batch > 1 else None
 
-        placements = self.placement_parts(name)
-        parts = []
-        for resource, rng in placements:
-            parts.append(self._gemm_part(name, layer, resource, rng,
-                                         x_qparams, chunk))
+        parts = [self._gemm_part(name, layer, resource, rng, x_qparams,
+                                 chunk)
+                 for resource, rng in self.placement_parts(name)]
         lhs_builders = self._gemm_lhs_builders(layer, x_qparams)
         axis = 1 if len(self.out_shape(name)) >= 2 else 0
 
-        candidates: List[_StepCandidate] = [
-            ("reference", self._gemm_fn(parts, lhs_builders, axis))]
-        if self.tuner is not None:
-            direct = self._direct1x1_candidate(name, layer, x_qparams,
-                                               placements, axis)
-            if direct is not None:
-                candidates.append(("direct1x1", direct))
-            if chunk is not None and any(variant != "codes"
-                                         for variant, _ in parts):
-                # Batch-folded float GEMM: one (B*M, K) call instead
-                # of the reference's per-sample call shapes.  Changes
-                # BLAS blocking, so only the tuner's byte check can
-                # admit it (per shape, per batch).
-                folded_parts = [
-                    self._gemm_part(name, layer, resource, rng,
-                                    x_qparams, None)
-                    for resource, rng in placements]
-                candidates.append(("folded", self._gemm_fn(
-                    folded_parts, lhs_builders, axis)))
-            wino = self._winograd_candidate(name, layer)
-            if wino is not None:
-                candidates.append(("winograd", wino))
-        return self._choose(name, candidates)
-
-    def _gemm_fn(self, parts: List[Tuple[str, Callable[[np.ndarray],
-                                                        np.ndarray]]],
-                 lhs_builders: Dict[str, PrepareFn], axis: int) -> StepFn:
-        """The step fn over one set of GEMM parts: each lhs variant
-        built once, parts concatenated in channel order."""
-
+        # Each lhs variant is built once; parts concatenate in channel
+        # order.
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
             (x,) = inputs
             lhs_cache: Dict[str, np.ndarray] = {}
@@ -547,216 +433,9 @@ class _Lowering:
 
         return run
 
-    # -- tunable GEMM variants ------------------------------------------------
-
-    def _direct1x1_candidate(
-            self, name: str, layer: _GemmLayer,
-            x_qparams: Optional[QuantParams],
-            placements: Tuple[PlacementPart, ...], axis: int
-    ) -> Optional[StepFn]:
-        """The direct NCHW GEMM lowering of a 1x1 conv, or None.
-
-        A 1x1/stride-1/no-padding conv's im2col is a pure transpose,
-        and its NHWC output fold is the inverse transpose -- so the
-        whole step collapses to ``W (oc, C) @ X (N, C, H*W)`` on the
-        native layout, skipping both copies.  Integer parts reproduce
-        the fused pipeline's accumulator exactly (see the part
-        builder), so they are byte-identical by construction; float
-        parts change the BLAS call shape and live or die by the
-        tuner's byte check.
-        """
-        if not isinstance(layer, Conv2D) or axis != 1:
-            return None
-        if (layer.kernel != 1 or layer.stride != 1
-                or layer.padding != 0):
-            return None
-        in_c = int(layer.weights.shape[1])
-        for resource, _ in placements:
-            compute = self.policy.compute_dtype(resource)
-            if (self.storage is DType.QUINT8
-                    and compute is DType.QUINT8
-                    and in_c > EXACT_GEMM_MAX_DEPTH):
-                return None     # exactness proof needs the depth bound
-        builders = self._direct1x1_builders(x_qparams, in_c)
-        parts = [self._direct1x1_part(name, layer, resource, rng,
-                                      x_qparams)
-                 for resource, rng in placements]
-        return self._gemm_fn(parts, builders, axis)
-
-    def _direct1x1_builders(self, x_qparams: Optional[QuantParams],
-                            in_c: int) -> Dict[str, PrepareFn]:
-        """Activation-side lowerings of the direct 1x1 path: the
-        ``(N, C, H*W)`` view of the input, centered/dequantized per
-        compute pipeline (the NCHW mirror of _gemm_lhs_builders)."""
-        batch = self.batch
-        builders: Dict[str, PrepareFn] = {}
-        if self.storage is DType.QUINT8:
-            assert x_qparams is not None
-            x_zero = float(x_qparams.zero_point)
-            lut_half = dequantize_lut(x_qparams).astype(np.float32)
-
-            def build_centered(x: np.ndarray) -> np.ndarray:
-                return (x.reshape(batch, in_c, -1).astype(np.float64)
-                        - x_zero)
-
-            def build_half(x: np.ndarray) -> np.ndarray:
-                return lut_half[x].reshape(batch, in_c, -1)
-
-            builders["nchw_centered"] = build_centered
-            builders["nchw_half"] = build_half
-            builders["nchw_half_f32"] = build_half
-        else:
-            def build_f16(x: np.ndarray) -> np.ndarray:
-                return (x.astype(np.float32).astype(np.float16)
-                        .astype(np.float32).reshape(batch, in_c, -1))
-
-            def build_f32(x: np.ndarray) -> np.ndarray:
-                return x.astype(np.float32).reshape(batch, in_c, -1)
-
-            builders["nchw_f16"] = build_f16
-            builders["nchw_f32"] = build_f32
-        return builders
-
-    def _direct1x1_part(self, name: str, layer: _GemmLayer,
-                        resource: str, rng: Optional[Tuple[int, int]],
-                        x_qparams: Optional[QuantParams]
-                        ) -> Tuple[str,
-                                   Callable[[np.ndarray], np.ndarray]]:
-        compute = self.policy.compute_dtype(resource)
-        if self.storage is DType.QUINT8 and compute is DType.QUINT8:
-            assert x_qparams is not None
-            return "nchw_centered", self._direct1x1_integer_part(
-                name, layer, rng, x_qparams)
-        if self.storage is DType.QUINT8:
-            variant = ("nchw_half" if compute is DType.F16
-                       else "nchw_half_f32")
-            return variant, self._direct1x1_float_part(
-                name, layer, rng, compute, quantized=True)
-        variant = "nchw_f16" if compute is DType.F16 else "nchw_f32"
-        return variant, self._direct1x1_float_part(
-            name, layer, rng, compute, quantized=False)
-
-    def _direct1x1_integer_part(
-            self, name: str, layer: _GemmLayer,
-            rng: Optional[Tuple[int, int]], x_qparams: QuantParams
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        weight_codes, w_qparams = self.quantized_weights(layer.weights)
-        bias = layer.bias
-        if rng is not None:
-            lo, hi = rng
-            weight_codes = weight_codes[lo:hi]
-            bias = bias[lo:hi]
-        out_c, in_c = weight_codes.shape[0], weight_codes.shape[1]
-        w64 = (weight_codes.reshape(out_c, in_c).astype(np.float64)
-               - float(w_qparams.zero_point))
-        bias_i32 = quantize_bias(bias, x_qparams.scale, w_qparams.scale)
-        out_qparams = self.qparams[name]
-        assert out_qparams is not None
-        mantissa, shift = prepare_requantize(
-            x_qparams.scale, w_qparams.scale, out_qparams)
-        relu = layer.relu
-        zero_code = np.uint8(out_qparams.zero_point)
-        shape = self._part_shape(layer, rng)
-
-        def run(centered: np.ndarray) -> np.ndarray:
-            # The centered f64 GEMM is exact under the depth bound
-            # (|sum| <= C * 255^2 < 2**31, every partial far below
-            # 2**53), and the fused pipeline's accumulator equals the
-            # same centered sum plus bias modulo 2**32 -- so the int32
-            # cast plus the wrapping bias add reproduce qgemm_fused's
-            # accumulator bit for bit, and the requantized codes are
-            # byte-identical by construction, not by measurement.
-            acc = np.matmul(w64, centered).astype(np.int32)
-            acc = acc + bias_i32[None, :, None]
-            codes = requantize_prepared(acc, mantissa, shift,
-                                        out_qparams)
-            if relu:
-                codes = np.maximum(codes, zero_code)
-            return codes.reshape(shape)
-
-        return run
-
-    def _direct1x1_float_part(
-            self, name: str, layer: _GemmLayer,
-            rng: Optional[Tuple[int, int]], compute: DType,
-            quantized: bool) -> Callable[[np.ndarray], np.ndarray]:
-        weights, bias = layer.weights, layer.bias
-        if rng is not None:
-            lo, hi = rng
-            weights = weights[lo:hi]
-            bias = bias[lo:hi]
-        out_c, in_c = weights.shape[0], weights.shape[1]
-        w2d = weights.reshape(out_c, in_c)
-        half = compute is DType.F16
-        relu = layer.relu
-        shape = self._part_shape(layer, rng)
-        out_qparams = self.qparams[name]
-        storage_np = self.storage.numpy_dtype
-        if half:
-            w32 = w2d.astype(np.float16).astype(np.float32)
-            bias32 = np.asarray(bias, dtype=np.float16).astype(
-                np.float32)
-        else:
-            w32 = np.ascontiguousarray(w2d)
-            bias32 = np.asarray(bias)
-
-        def run(lhs: np.ndarray) -> np.ndarray:
-            rows = np.matmul(w32, lhs) + bias32[:, None]
-            if half:
-                rows = rows.astype(np.float16).astype(np.float32)
-            if relu:
-                rows = np.maximum(rows, 0.0)
-            out = rows.reshape(shape)
-            if quantized:
-                assert out_qparams is not None
-                return out_qparams.quantize(out)
-            if out.dtype == storage_np:
-                return out
-            return out.astype(storage_np)
-
-        return run
-
-    def _winograd_candidate(self, name: str,
-                            layer: _GemmLayer) -> Optional[StepFn]:
-        """Opt-in approximate Winograd F(2,3) lowering, or None.
-
-        Offered only when the tuner runs with ``allow_approx``, for
-        3x3/stride-1 convs whose every pipeline computes in F32 (the
-        uniform-f32 policy); validated by tolerance, never by byte
-        identity, and excluded from the benchmark's autotuned block.
-        """
-        tuner = self.tuner
-        if tuner is None or not getattr(tuner, "allow_approx", False):
-            return None
-        if not isinstance(layer, Conv2D):
-            return None
-        if layer.kernel != 3 or layer.stride != 1:
-            return None
-        if self.storage is DType.QUINT8:
-            return None
-        computes = {self.policy.compute_dtype(resource)
-                    for resource, _ in self.placement_parts(name)}
-        if computes != {DType.F32}:
-            return None
-        u16 = winograd_filter_transform(layer.weights)
-        bias = np.asarray(layer.bias, dtype=np.float32)
-        padding = layer.padding
-        relu = layer.relu
-        storage_np = self.storage.numpy_dtype
-
-        def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            (x,) = inputs
-            out = winograd_conv3x3(x.astype(np.float32), u16, bias,
-                                   padding=padding, relu=relu)
-            if out.dtype == storage_np:
-                return out
-            return out.astype(storage_np)
-
-        return fn
-
     # -- depthwise convolution ------------------------------------------------
 
-    def lower_depthwise(self, name: str) -> Tuple[StepFn, str]:
+    def lower_depthwise(self, name: str) -> StepFn:
         layer = self.graph.layer(name)
         assert isinstance(layer, DepthwiseConv2D)
         if layer.weights is None or layer.bias is None:
@@ -772,41 +451,21 @@ class _Lowering:
         if len(computes) == 1:
             parts_meta = ((parts_meta[0][0], None),)
 
-        def build(matvec: bool) -> StepFn:
-            parts = [self._depthwise_part(name, layer, resource, rng,
-                                          x_qparams, in_shape,
-                                          matvec=matvec)
-                     for resource, rng in parts_meta]
-            if len(parts) == 1:
-                return parts[0]
+        parts = [self._depthwise_part(name, layer, resource, rng,
+                                      x_qparams, in_shape)
+                 for resource, rng in parts_meta]
+        if len(parts) == 1:
+            return parts[0]
 
-            def fn(inputs: List[np.ndarray]) -> np.ndarray:
-                return np.concatenate([part(inputs) for part in parts],
-                                      axis=1)
+        def fn(inputs: List[np.ndarray]) -> np.ndarray:
+            return np.concatenate([part(inputs) for part in parts], axis=1)
 
-            return fn
-
-        candidates: List[_StepCandidate] = [
-            ("reference", build(matvec=False))]
-        if self.tuner is not None and any(
-                not self._integer_compute(resource)
-                for resource, _ in parts_meta):
-            # The float parts' per-channel dot products as a batched
-            # mat-vec instead of an einsum contraction, byte-checked by
-            # the tuner.  Integer parts have one kernel and ignore it.
-            candidates.append(("matvec", build(matvec=True)))
-        return self._choose(name, candidates)
-
-    def _integer_compute(self, resource: str) -> bool:
-        """Whether ``resource`` runs the integer (QUInt8) pipeline."""
-        return (self.storage is DType.QUINT8
-                and self.policy.compute_dtype(resource) is DType.QUINT8)
+        return fn
 
     def _depthwise_part(self, name: str, layer: DepthwiseConv2D,
                         resource: str, rng: Optional[Tuple[int, int]],
                         x_qparams: Optional[QuantParams],
-                        in_shape: Tuple[int, ...],
-                        matvec: bool = False) -> StepFn:
+                        in_shape: Tuple[int, ...]) -> StepFn:
         """One placement's depthwise computation over its channel slice
         of the step input (each channel is independent, so a slice
         computes exactly what the whole layer computes there)."""
@@ -823,7 +482,7 @@ class _Lowering:
         out_qparams = self.qparams[name]
         storage_np = self.storage.numpy_dtype
 
-        if self._integer_compute(resource):
+        if self.storage is DType.QUINT8 and compute is DType.QUINT8:
             assert x_qparams is not None and out_qparams is not None
             weight_codes, w_qparams = self.quantized_weights(
                 layer.weights)
@@ -873,10 +532,7 @@ class _Lowering:
                 values_of(inputs[0]).reshape(batch * channels, 1, in_h,
                                              in_w),
                 layer.kernel, layer.stride, layer.padding)
-            if matvec:
-                out = depthwise_matvec(columns, filters)
-            else:
-                out = np.einsum("npk,nk->np", columns, filters)
+            out = np.einsum("npk,nk->np", columns, filters)
             out = out.reshape(batch, channels, out_h, out_w)
             out = out + bias[None, :, None, None]
             if half:
@@ -1014,17 +670,17 @@ class _Lowering:
                 inputs.append(self.input_spec(name))
                 continue
             if layer.kind in (LayerKind.CONV, LayerKind.FC):
-                fn, variant = self.lower_gemm(name)
+                fn = self.lower_gemm(name)
             elif layer.kind is LayerKind.DEPTHWISE_CONV:
-                fn, variant = self.lower_depthwise(name)
+                fn = self.lower_depthwise(name)
             else:
-                fn, variant = self.lower_invariant(name), "reference"
+                fn = self.lower_invariant(name)
             steps.append(CompiledStep(
                 layer=name, kind=layer.kind.value,
                 placements=self.placement_parts(name),
                 dtype=self.storage,
                 inputs=tuple(self.graph.inputs_of(name)),
-                fn=fn, variant=variant))
+                fn=fn))
         shapes = {name: self.out_shape(name)
                   for name in self.graph.topological_order()}
         dtypes = {name: self.storage for name in shapes}
@@ -1043,18 +699,13 @@ class _Lowering:
             graph=self.graph,
             plan=self.plan,
             calibration=self.calibration,
-            weight_refs=tuple(self.weight_refs),
-            tuned=self.tuner is not None,
-            allow_approx=bool(self.tuner is not None
-                              and getattr(self.tuner, "allow_approx",
-                                          False)))
+            weight_refs=tuple(self.weight_refs))
 
 
 def compile_program(graph: Graph, plan: ExecutionPlan,
                     calibration: Optional[CalibrationTable] = None,
                     batch: Optional[int] = None,
-                    mechanism: str = "custom",
-                    tuner: "Optional[Tuner]" = None) -> CompiledProgram:
+                    mechanism: str = "custom") -> CompiledProgram:
     """Lower ``plan`` into a flat, pre-resolved :class:`CompiledProgram`.
 
     Args:
@@ -1066,15 +717,10 @@ def compile_program(graph: Graph, plan: ExecutionPlan,
             A plan built for batch B > 1 only compiles at batch B; a
             batch-1 plan compiles at any batch.
         mechanism: provenance label recorded on the program.
-        tuner: a :class:`~repro.tune.Tuner` to pick each step's kernel
-            variant by measurement; ``None`` (the default) bakes the
-            reference lowering everywhere, which is exactly the
-            pre-autotuning compiler.
 
     Returns:
         The compiled program, byte-identical in its outputs to running
-        the same plan through the functional executor (autotuned
-        programs included, unless the tuner ran with ``allow_approx``).
+        the same plan through the functional executor.
     """
     plan.validate(graph)
     if plan.policy.is_quantized and calibration is None:
@@ -1082,5 +728,4 @@ def compile_program(graph: Graph, plan: ExecutionPlan,
             "QUInt8 activation storage requires a calibration table "
             "(run repro.nn.calibrate_graph first)")
     chosen = _resolve_batch(plan, batch)
-    return _Lowering(graph, plan, calibration, chosen,
-                     tuner=tuner).lower(mechanism)
+    return _Lowering(graph, plan, calibration, chosen).lower(mechanism)

@@ -85,10 +85,6 @@ class CompiledStep:
         dtype: storage dtype of the step's output.
         inputs: producing layers whose outputs this step consumes.
         fn: the bound kernel closure.
-        variant: the kernel lowering baked into ``fn`` --
-            ``"reference"`` unless an autotuner selected an
-            alternative (``PV014`` checks the name's legality against
-            the step's shape/dtype).
     """
 
     layer: str
@@ -97,7 +93,6 @@ class CompiledStep:
     dtype: DType
     inputs: Tuple[str, ...]
     fn: StepFn
-    variant: str = "reference"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,11 +123,6 @@ class CompiledProgram:
         weight_refs: ``(layer, weights, bias)`` references captured at
             compile time; replacement via ``set_weights`` makes the
             program stale.
-        tuned: True when an autotuner selected the step variants
-            (even if every winner was the reference lowering).
-        allow_approx: True when the tuner was permitted to select
-            approximate variants (Winograd); ``PV014`` rejects an
-            approximate variant on a program without this flag.
     """
 
     def __init__(self, graph_name: str, policy_name: str, mechanism: str,
@@ -146,9 +136,7 @@ class CompiledProgram:
                  plan: object,
                  calibration: Optional[CalibrationTable],
                  weight_refs: Tuple[Tuple[str, np.ndarray, np.ndarray],
-                                    ...],
-                 tuned: bool = False,
-                 allow_approx: bool = False) -> None:
+                                    ...]) -> None:
         self.graph_name = graph_name
         self.policy_name = policy_name
         self.mechanism = mechanism
@@ -164,8 +152,6 @@ class CompiledProgram:
         self.plan = plan
         self._calibration = calibration
         self._weight_refs = weight_refs
-        self.tuned = tuned
-        self.allow_approx = allow_approx
         # Lazily allocated arena storage (keep="outputs" runs only);
         # reused across runs, so steady state allocates no activations.
         self._arena_buf: Optional[np.ndarray] = None
@@ -198,13 +184,6 @@ class CompiledProgram:
 
     # -- introspection -------------------------------------------------------
 
-    def variant_histogram(self) -> Dict[str, int]:
-        """Kernel-variant name -> step count over this program."""
-        histogram: Dict[str, int] = {}
-        for step in self.steps:
-            histogram[step.variant] = histogram.get(step.variant, 0) + 1
-        return histogram
-
     def describe(self) -> Dict[str, object]:
         """JSON-friendly summary (CLI / verification output)."""
         return {
@@ -212,18 +191,14 @@ class CompiledProgram:
             "policy": self.policy_name,
             "mechanism": self.mechanism,
             "batch": self.batch,
-            "tuned": self.tuned,
-            "allow_approx": self.allow_approx,
             "steps": [
                 {"layer": step.layer, "kind": step.kind,
                  "dtype": str(step.dtype),
-                 "variant": step.variant,
                  "placements": [
                      {"resource": resource,
                       "channels": None if rng is None else list(rng)}
                      for resource, rng in step.placements]}
                 for step in self.steps],
-            "variants": self.variant_histogram(),
             "arena_bytes": self.arena.arena_bytes,
             "arena_slots": len(self.arena.slots),
         }

@@ -13,13 +13,6 @@ perf trajectory is tracked across PRs:
 * **compiled** -- the compiled fused path (``repro.compile``) against
   the warm functional path on every mini-model cell, on the matched
   0.5-split plan, byte-identity asserted before and after timing.
-* **autotuned** -- the autotuned compiled path (``repro.tune``: a
-  fresh in-memory tuner per cell, no on-disk state) against the
-  untuned compiled baseline, both compiled from the same matched plan
-  and timed back-to-back, byte-identity against the warm functional
-  output asserted before and after timing.  The block records the
-  per-cell speedups, a kernel-variant histogram over all tuned
-  programs, and the geometric-mean speedup CI gates on.
 * **sweep** -- the static verification sweep over the mini zoo, serial
   versus ``jobs`` processes.
 
@@ -31,9 +24,8 @@ under a minute so CI can afford it as a smoke job.
 
 from __future__ import annotations
 
-import math
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -193,68 +185,10 @@ def _bench_compiled(graph: Graph, calibration: CalibrationTable,
     }
 
 
-def _bench_autotuned(graph: Graph, calibration: CalibrationTable,
-                     policy: QuantizationPolicy, x: np.ndarray,
-                     repeats: int
-                     ) -> "Tuple[Dict[str, float], Dict[str, int]]":
-    """Autotuned-vs-untuned compiled timing of one (model, policy)
-    cell.
-
-    Compiles the matched 0.5-split plan twice -- once untuned, once
-    through a fresh in-memory :class:`~repro.tune.Tuner` (no on-disk
-    or cross-cell state) -- asserts both programs byte-identical to
-    the warm functional output, and times their steady-state runs
-    back-to-back so the quoted speedup is not polluted by drift
-    between benchmark phases.  Returns the cell and the tuned
-    program's kernel-variant histogram.
-    """
-    from ..compile import compile_program
-    from ..tune import Tuner
-
-    computer = LayerComputer(graph, policy, calibration,
-                             enable_caches=True)
-    reference = _run_functional(graph, computer, x).data.tobytes()
-
-    plan = _matched_split_plan(graph, policy)
-    baseline = compile_program(graph, plan, calibration,
-                               mechanism="bench")
-    tuner = Tuner(repeats=max(3, repeats))
-    tune_ms, tuned = min_time_ms(
-        lambda: compile_program(graph, plan, calibration,
-                                mechanism="bench", tuner=tuner), 1)
-    output = graph.output_layers()[0]
-
-    def check(program, label: str) -> None:
-        out = program.run(x, keep="outputs")[output]
-        if out.data.tobytes() != reference:
-            raise AssertionError(
-                f"{label} execution diverged from the functional "
-                "output")
-
-    check(baseline, "compiled")
-    check(tuned, "autotuned")
-    compiled_ms, _ = min_time_ms(
-        lambda: baseline.run(x, keep="outputs")[output], repeats)
-    autotuned_ms, _ = min_time_ms(
-        lambda: tuned.run(x, keep="outputs")[output], repeats)
-    check(baseline, "steady-state compiled")
-    check(tuned, "steady-state autotuned")
-    cell = {
-        "tune_ms": tune_ms,
-        "compiled_ms": compiled_ms,
-        "autotuned_ms": autotuned_ms,
-        "speedup": (compiled_ms / autotuned_ms if autotuned_ms > 0
-                    else float("inf")),
-        "tuned_steps": float(tuner.timed),
-    }
-    return cell, tuned.variant_histogram()
-
-
 def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
               jobs: Optional[int] = None,
               policies: Optional[Sequence[str]] = None,
-              compiled: bool = True,
-              autotune: bool = True) -> Dict:
+              compiled: bool = True) -> Dict:
     """The full benchmark; returns a JSON-ready dict.
 
     Args:
@@ -267,10 +201,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
         compiled: also time the compiled fused path against the warm
             functional path on every mini-model cell, asserting
             byte-identity (the ``compiled`` block of the output).
-        autotune: also time the autotuned compiled path against the
-            untuned compiled baseline on every mini-model cell,
-            asserting byte-identity (the ``autotuned`` block of the
-            output); requires ``compiled``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -291,8 +221,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
 
     functional: Dict[str, Dict[str, float]] = {}
     compiled_cells: Dict[str, Dict[str, float]] = {}
-    autotuned_cells: Dict[str, Dict[str, float]] = {}
-    autotuned_variants: Dict[str, int] = {}
     cold_total = warm_total = 0.0
     compiled_warm_total = compiled_total = 0.0
     sweep_models: List[str] = []
@@ -307,7 +235,7 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
             # min over 3 samples still flakes on a loaded shared
             # runner; a floor of 7 stabilizes the minimum without
             # touching the full models (whose single repeat is the
-            # expensive leg) or the compiled/tuned legs.
+            # expensive leg) or the compiled leg.
             cell = _bench_model_policy(
                 graph, calibration, BENCH_POLICIES[policy_name], x,
                 max(model_repeats, 7) if model in MINI_MODELS
@@ -325,14 +253,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
                 compiled_cells[f"{model}/{policy_name}"] = ccell
                 compiled_warm_total += ccell["warm_ms"]
                 compiled_total += ccell["compiled_ms"]
-                if autotune:
-                    acell, histogram = _bench_autotuned(
-                        graph, calibration,
-                        BENCH_POLICIES[policy_name], x, model_repeats)
-                    autotuned_cells[f"{model}/{policy_name}"] = acell
-                    for variant, count in histogram.items():
-                        autotuned_variants[variant] = (
-                            autotuned_variants.get(variant, 0) + count)
 
     chosen_models = tuple(sweep_models)
     sweep: Dict[str, float] = {}
@@ -371,27 +291,6 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
                 "compiled_total_ms": compiled_total,
                 "speedup": (compiled_warm_total / compiled_total
                             if compiled_total > 0 else float("inf")),
-            },
-        }
-    if autotuned_cells:
-        speedups = [cell["speedup"]
-                    for cell in autotuned_cells.values()
-                    if cell["speedup"] > 0
-                    and not math.isinf(cell["speedup"])]
-        geomean = (math.exp(sum(math.log(s) for s in speedups)
-                            / len(speedups)) if speedups
-                   else float("nan"))
-        results["autotuned"] = {
-            "cells": autotuned_cells,
-            "variants": autotuned_variants,
-            "summary": {
-                "compiled_total_ms": sum(
-                    cell["compiled_ms"]
-                    for cell in autotuned_cells.values()),
-                "autotuned_total_ms": sum(
-                    cell["autotuned_ms"]
-                    for cell in autotuned_cells.values()),
-                "geomean_speedup": geomean,
             },
         }
     return results
@@ -664,26 +563,6 @@ def render_bench(results: Dict) -> str:
                  f"{csummary['warm_total_ms']:.1f} ms, compiled "
                  f"{csummary['compiled_total_ms']:.1f} ms, speedup "
                  f"{csummary['speedup']:.2f}x")
-    autotuned = results.get("autotuned")
-    if autotuned:
-        rows = [[cell_name, cell["tune_ms"], cell["compiled_ms"],
-                 cell["autotuned_ms"], cell["speedup"],
-                 int(cell["tuned_steps"])]
-                for cell_name in sorted(autotuned["cells"])
-                for cell in [autotuned["cells"][cell_name]]]
-        text += "\n\n" + format_table(
-            ["model/policy", "tune_ms", "compiled_ms",
-             "autotuned_ms", "speedup", "tuned_steps"],
-            rows, title="autotuned compiled path vs untuned baseline")
-        asummary = autotuned["summary"]
-        variants = ", ".join(
-            f"{name} x{count}"
-            for name, count in sorted(autotuned["variants"].items()))
-        text += (f"\n\nautotuned total: untuned "
-                 f"{asummary['compiled_total_ms']:.1f} ms, tuned "
-                 f"{asummary['autotuned_total_ms']:.1f} ms, geomean "
-                 f"speedup {asummary['geomean_speedup']:.2f}x"
-                 f"\nvariants: {variants}")
     sweep = results.get("sweep", {})
     if "serial_s" in sweep:
         text += (f"\nverify sweep ({int(sweep.get('cells', 0))} cells): "

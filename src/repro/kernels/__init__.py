@@ -1,5 +1,9 @@
 """Numerical kernels: im2col, float GEMM, quantized GEMM, integer
-depthwise convolution, pooling."""
+depthwise convolution, pooling.
+
+One kernel per operation: the compiler and the functional interpreter
+call the same functions, and no alternative lowerings are kept for
+selection by timing."""
 
 from .depthwise import depthwise_conv_quint8, pack_depthwise_taps
 from .gemm import gemm_f16, gemm_f32
@@ -8,8 +12,6 @@ from .op_cache import OperandCache
 from .pooling import avg_pool, global_avg_pool, max_pool
 from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
                     quantize_bias)
-from .variants import (conv1x1_direct_f32, depthwise_matvec,
-                       winograd_conv3x3, winograd_filter_transform)
 
 __all__ = [
     "depthwise_conv_quint8",
@@ -29,8 +31,4 @@ __all__ = [
     "qgemm_accumulate",
     "qgemm_fused",
     "quantize_bias",
-    "conv1x1_direct_f32",
-    "depthwise_matvec",
-    "winograd_conv3x3",
-    "winograd_filter_transform",
 ]

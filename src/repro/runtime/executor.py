@@ -77,11 +77,6 @@ class Executor:
             (graph, policy, calibration) -- True, the default.  False
             restores the pre-cache behaviour of building a fresh
             computer per run; outputs are byte-identical either way.
-        tuner: a :class:`~repro.tune.Tuner`; when set, every program
-            this executor compiles goes through per-step kernel-variant
-            autotuning (decisions cached in the tuner's
-            :class:`~repro.tune.TuneCache`).  ``None`` compiles the
-            reference lowering everywhere.
     """
 
     #: How many distinct (graph, policy, calibration) computers an
@@ -95,13 +90,12 @@ class Executor:
 
     def __init__(self, soc: SoCSpec, zero_copy: bool = True,
                  async_issue: bool = True, verify: bool = False,
-                 op_caches: bool = True, tuner=None) -> None:
+                 op_caches: bool = True) -> None:
         self.soc = soc
         self.zero_copy = zero_copy
         self.async_issue = async_issue
         self.verify = verify
         self.op_caches = op_caches
-        self.tuner = tuner
         self._computers: "OrderedDict[Tuple[int, QuantizationPolicy, int], LayerComputer]" = OrderedDict()
         # Compiled programs, memoized with the same identity discipline
         # (and re-validated against weight-array identity on reuse).
@@ -149,8 +143,7 @@ class Executor:
                 or not program.matches(graph, calibration)):
             program = compile_program(graph, plan,
                                       calibration=calibration,
-                                      batch=batch, mechanism=mechanism,
-                                      tuner=self.tuner)
+                                      batch=batch, mechanism=mechanism)
             self._programs[key] = program
         self._programs.move_to_end(key)
         while len(self._programs) > self._COMPUTER_MEMO_ENTRIES:
@@ -211,11 +204,8 @@ class Executor:
                     "compiled program is stale for this graph/"
                     "calibration; recompile it")
             if report is not None:
-                from ..analysis.plan_verifier import (
-                    verify_program, verify_tuned_variants)
+                from ..analysis.plan_verifier import verify_program
                 report.extend(verify_program(graph, plan, program))
-                report.extend(verify_tuned_variants(graph, plan,
-                                                    program))
                 report.raise_if_errors(
                     f"compiled program for {graph.name!r} on "
                     f"{self.soc.name}")

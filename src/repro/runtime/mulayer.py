@@ -52,9 +52,11 @@ class MuLayer:
             :class:`~repro.runtime.plan_cache.PlanCache` (the serving
             fleet passes one cache to many runtimes); a private cache
             is created when omitted.
-        tuner: a :class:`~repro.tune.Tuner`; when set, compiled
-            programs go through per-step kernel-variant autotuning.
     """
+
+    #: Compiled programs have one lowering per step and no kernel
+    #: search; kept as a constant because ``perfbench`` reports it.
+    tuner = None
 
     def __init__(self, soc: SoCSpec,
                  policy: QuantizationPolicy = PROCESSOR_FRIENDLY,
@@ -66,12 +68,10 @@ class MuLayer:
                  verify: bool = False,
                  compiled: bool = False,
                  predictor: Optional[LatencyPredictor] = None,
-                 plan_cache: Optional[PlanCache] = None,
-                 tuner=None) -> None:
+                 plan_cache: Optional[PlanCache] = None) -> None:
         self.soc = soc
         self.policy = policy
         self.compiled = compiled
-        self.tuner = tuner
         config = PartitionerConfig(
             enable_channel_distribution=enable_channel_distribution,
             enable_branch_distribution=enable_branch_distribution,
@@ -80,8 +80,7 @@ class MuLayer:
         self.partitioner = Partitioner(soc, policy=policy, config=config,
                                        predictor=predictor)
         self.executor = Executor(soc, zero_copy=zero_copy,
-                                 async_issue=async_issue, verify=verify,
-                                 tuner=tuner)
+                                 async_issue=async_issue, verify=verify)
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache())
 
@@ -121,8 +120,7 @@ class MuLayer:
         if program is None or program.plan is not plan:
             program = compile_program(graph, plan,
                                       calibration=calibration,
-                                      batch=batch, mechanism="mulayer",
-                                      tuner=self.tuner)
+                                      batch=batch, mechanism="mulayer")
             self.plan_cache.put_program(key, batch, program)
         return program
 

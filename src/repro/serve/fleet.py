@@ -38,7 +38,6 @@ from .workload import Request
 
 if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
     from ..quant.calibrate import CalibrationTable
-    from ..tune import Tuner
 
 #: Compute dtype of each single-processor mechanism -- the fastest
 #: per-processor data type per the paper (Section 7.2, Section 8.3).
@@ -102,12 +101,11 @@ class _SoCContext:
     calibration across the devices and requests of a simulation.
     """
 
-    def __init__(self, soc: SoCSpec, policy: QuantizationPolicy,
-                 tuner: "Optional[Tuner]" = None) -> None:
+    def __init__(self, soc: SoCSpec, policy: QuantizationPolicy) -> None:
         self.soc = soc
         self.policy = policy
         self.partitioner = Partitioner(soc, policy=policy)
-        self.executor = Executor(soc, tuner=tuner)
+        self.executor = Executor(soc)
         config = PartitionerConfig(enable_channel_distribution=False,
                                    enable_branch_distribution=False)
         self._estimators: Dict[str, Partitioner] = {
@@ -313,21 +311,13 @@ class Fleet:
             (no input data), where compiled and functional execution
             report identical latencies, so this is a passthrough for
             callers that feed the fleet's executors data directly.
-        tuner: a shared :class:`~repro.tune.Tuner`; when set, every
-            program the fleet compiles (including
-            :meth:`warm_plans`'s program warming) goes through
-            kernel-variant autotuning against the tuner's single
-            :class:`~repro.tune.TuneCache` -- each unique step
-            signature is tuned once fleet-wide, never once per
-            replica.
     """
 
     def __init__(self, socs: Sequence[SoCSpec],
                  policy: QuantizationPolicy = PROCESSOR_FRIENDLY,
                  plan_cache: Optional[PlanCache] = None,
                  memoize_results: bool = True,
-                 compiled: bool = False,
-                 tuner: "Optional[Tuner]" = None) -> None:
+                 compiled: bool = False) -> None:
         if not socs:
             raise ValueError("a fleet needs at least one device")
         self.policy = policy
@@ -335,13 +325,11 @@ class Fleet:
             PlanCache())
         self.memoize_results = memoize_results
         self.compiled = compiled
-        self.tuner = tuner
         self._contexts: Dict[str, _SoCContext] = {}
         self.devices: List[Device] = []
         for index, soc in enumerate(socs):
             if soc.name not in self._contexts:
-                self._contexts[soc.name] = _SoCContext(soc, policy,
-                                                       tuner=tuner)
+                self._contexts[soc.name] = _SoCContext(soc, policy)
             self.devices.append(
                 Device.make(f"dev{index}:{soc.name}", soc))
         self._graphs: Dict[str, Graph] = {}
@@ -357,8 +345,7 @@ class Fleet:
               policy: QuantizationPolicy = PROCESSOR_FRIENDLY,
               plan_cache: Optional[PlanCache] = None,
               memoize_results: bool = True,
-              compiled: bool = False,
-              tuner: "Optional[Tuner]" = None) -> "Fleet":
+              compiled: bool = False) -> "Fleet":
         """A fleet of ``num_devices`` cycling through ``soc_names``."""
         if num_devices < 1:
             raise ValueError("num_devices must be >= 1")
@@ -367,8 +354,7 @@ class Fleet:
         cycle = itertools.cycle([soc_by_name(name) for name in soc_names])
         socs = [next(cycle) for _ in range(num_devices)]
         return cls(socs, policy=policy, plan_cache=plan_cache,
-                   memoize_results=memoize_results, compiled=compiled,
-                   tuner=tuner)
+                   memoize_results=memoize_results, compiled=compiled)
 
     # -- lookups -------------------------------------------------------------
 
@@ -439,13 +425,11 @@ class Fleet:
             batches: batch sizes to warm; a batching scheduler with
                 ``max_batch=B`` dispatches at sizes 1..B, so warm
                 ``range(1, B + 1)``.
-            programs: also compile (and, when the fleet has a tuner,
-                autotune) one :class:`CompiledProgram` per unique
-                (model, SoC type, mechanism, batch), cached next to
-                its plan.  The work is keyed by SoC *type*, not
-                device, so a hundred replicas of one SoC warm -- and
-                tune -- each configuration exactly once, all through
-                the fleet's shared :class:`~repro.tune.TuneCache`.
+            programs: also compile one :class:`CompiledProgram` per
+                unique (model, SoC type, mechanism, batch), cached
+                next to its plan.  The work is keyed by SoC *type*,
+                not device, so a hundred replicas of one SoC warm
+                each configuration exactly once.
 
         Returns:
             How many plans (plus, with ``programs``, programs) were
@@ -549,8 +533,7 @@ class Fleet:
                                 calibrations[cal_key] = calibration
                         program = compile_program(
                             graph, plan, calibration=calibration,
-                            batch=batch, mechanism=mechanism,
-                            tuner=self.tuner)
+                            batch=batch, mechanism=mechanism)
                         self.plan_cache.put_program(key, batch, program)
                         compiled += 1
         return compiled

@@ -133,6 +133,35 @@ class TestFootprintRules:
         assert "MF001" in dirty.rules_fired()
 
 
+
+class TestTransients:
+    @pytest.mark.parametrize("policy_name, batch, expected", [
+        # Integer depthwise builds no im2col columns: the padded int32
+        # input (4 x 8 x 8 x 4 B = 1024 B), plus per output element
+        # (4 x 6 x 6 = 144) an int32 accumulator, an int32 tap product
+        # and the int64 requantize scratch (16 B each, 2304 B).
+        ("UNIFORM_QUINT8", 1, 1024 + 2304),
+        ("UNIFORM_QUINT8", 2, 2 * (1024 + 2304)),
+        # Float depthwise keeps its f32 im2col columns: 4 channels x
+        # 9 taps x 36 output pixels.
+        ("UNIFORM_F32", 1, 4 * 9 * 36 * 4),
+    ])
+    def test_depthwise_transient_bytes(self, soc, policy_name, batch,
+                                       expected):
+        from repro import runtime
+        from repro.nn import Graph
+        from repro.nn.layers import DepthwiseConv2D, Input
+        from repro.runtime.baselines import single_processor_plan
+        graph = Graph("dw")
+        graph.add(Input("in", (1, 4, 6, 6)))
+        graph.add(DepthwiseConv2D("dw", 4, 3, padding=1), ["in"])
+        plan = single_processor_plan(graph, "cpu",
+                                     getattr(runtime, policy_name))
+        summary = MemoryFootprintAnalyzer(soc).footprint(graph, plan,
+                                                         batch=batch)
+        assert summary.transient_peak_bytes == expected
+
+
 class TestArena:
     def test_zoo_arenas_validate_non_overlapping(self):
         for soc_name, soc in sorted(SOCS.items()):

@@ -4,8 +4,10 @@ The compiled execution path's correctness bar, mirroring the operand-
 cache and batching suites: running a graph through the lowered
 :class:`~repro.compile.program.CompiledProgram` must be *byte-identical*
 to the per-layer functional interpreter -- for every mini-zoo model,
-three plan mechanisms (single-processor baseline, matched cooperative
-split, the partitioner's PFQ plan), and batch sizes 1 and 4.  The
+four plan mechanisms (single-processor baseline, matched cooperative
+splits under uniform F16 and uniform F32, the partitioner's PFQ plan),
+batch sizes 1 and 4, and several seeded inputs per cell (a rounding
+divergence can hide on any one input).  The
 compiled path reproduces the interpreter's exact kernel semantics
 (per-sample GEMM rows, f16 rounding points, int32 wrapping
 requantization), so there is no float tolerance to hide behind.
@@ -21,14 +23,16 @@ import pytest
 from repro.models import MINI_MODELS, build_model
 from repro.nn import calibrate_graph
 from repro.runtime import (MuLayer, PROCESSOR_FRIENDLY, UNIFORM_F16,
-                           UNIFORM_QUINT8)
+                           UNIFORM_F32, UNIFORM_QUINT8)
 from repro.runtime.baselines import single_processor_plan
 from repro.runtime.executor import Executor
 from repro.runtime.plan import ExecutionPlan, LayerAssignment
 from repro.soc import EXYNOS_7420
 
-MECHANISMS = ("baseline", "split", "pfq")
+MECHANISMS = ("baseline", "split", "split_f32", "pfq")
 BATCHES = (1, 4)
+#: Seeded inputs checked per (model, mechanism, batch) cell.
+INPUTS_PER_CELL = 3
 
 
 def _split_plan(graph, policy):
@@ -48,6 +52,8 @@ def _plan_for(graph, mechanism):
         return single_processor_plan(graph, "cpu", UNIFORM_QUINT8)
     if mechanism == "split":
         return _split_plan(graph, UNIFORM_F16)
+    if mechanism == "split_f32":
+        return _split_plan(graph, UNIFORM_F32)
     assert mechanism == "pfq"
     return MuLayer(EXYNOS_7420, PROCESSOR_FRIENDLY).plan(graph)
 
@@ -70,21 +76,25 @@ def zoo():
 @pytest.mark.parametrize("model", MINI_MODELS)
 def test_compiled_matches_functional(zoo, model, mechanism, batch):
     """Compiled and interpreted runs agree byte-for-byte on every
-    layer output (same executor, same plan, same calibration)."""
+    layer output (same executor, same plan, same calibration), on
+    each seeded input."""
     graph, calibration = zoo[model]
     plan = _plan_for(graph, mechanism)
-    x = np.random.default_rng(batch).standard_normal(
-        (batch, 3, 32, 32)).astype(np.float32)
     executor = Executor(EXYNOS_7420)
-    functional = executor.run(graph, plan, x=x, calibration=calibration)
-    compiled = executor.run(graph, plan, x=x, calibration=calibration,
-                            compiled=True)
-    assert set(compiled.outputs) == set(functional.outputs)
-    for name, expected in functional.outputs.items():
-        actual = compiled.outputs[name]
-        assert actual.dtype == expected.dtype, name
-        assert actual.data.dtype == expected.data.dtype, name
-        assert actual.data.tobytes() == expected.data.tobytes(), name
+    rng = np.random.default_rng(batch)
+    for draw in range(INPUTS_PER_CELL):
+        x = rng.standard_normal((batch, 3, 32, 32)).astype(np.float32)
+        functional = executor.run(graph, plan, x=x,
+                                  calibration=calibration)
+        compiled = executor.run(graph, plan, x=x,
+                                calibration=calibration, compiled=True)
+        assert set(compiled.outputs) == set(functional.outputs)
+        for name, expected in functional.outputs.items():
+            actual = compiled.outputs[name]
+            assert actual.dtype == expected.dtype, (draw, name)
+            assert actual.data.dtype == expected.data.dtype, (draw, name)
+            assert (actual.data.tobytes()
+                    == expected.data.tobytes()), (draw, name)
 
 
 @pytest.mark.parametrize("batch", BATCHES)

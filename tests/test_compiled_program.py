@@ -177,15 +177,15 @@ class TestPlanCacheConcurrency:
 
 
 class TestOperandCacheWeightRaces:
-    def test_set_weights_races_tuned_parallel_execution(self, rng):
-        """``set_weights`` storms while a *tuned* compiled program
+    def test_set_weights_races_parallel_execution(self, rng):
+        """``set_weights`` storms while a compiled program
         runs on one thread and a cached functional computer keeps
         inferring on another.
 
         Three guarantees under the race, same shape as the PlanCache
         hammer above:
 
-        * the tuned program compiled against the old arrays keeps
+        * the program compiled against the old arrays keeps
           producing byte-identical outputs mid-storm (lowering baked
           its own operand copies; surgery on the graph cannot tear an
           in-flight program);
@@ -195,23 +195,21 @@ class TestOperandCacheWeightRaces:
           functional output matches one of the weight generations that
           existed when it ran;
         * at quiescence the runtime recompiles (the cached program
-          went stale) and the new tuned program is byte-identical to a
+          went stale) and the new program is byte-identical to a
           fresh functional run over the final weights.
         """
         from repro.models import build_model
         from repro.nn import calibrate_graph
         from repro.runtime import PROCESSOR_FRIENDLY
         from repro.runtime.compute import LayerComputer
-        from repro.tune import Tuner
 
         graph = build_model("vgg_mini")
         x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
         calibration = calibrate_graph(graph, [x])
         out = graph.output_layers()[0]
 
-        runtime = MuLayer(EXYNOS_7420, tuner=Tuner(repeats=1))
+        runtime = MuLayer(EXYNOS_7420)
         old_program = runtime.program(graph, calibration=calibration)
-        assert old_program.tuned
         old_bytes = old_program.run(x, keep="outputs")[out].data \
             .tobytes()
 
@@ -250,12 +248,12 @@ class TestOperandCacheWeightRaces:
         stop = threading.Event()
         progress = [0, 0]
 
-        def tuned_runner():
+        def compiled_runner():
             while not stop.is_set():
                 got = old_program.run(x, keep="outputs")[out]
                 progress[0] += 1
                 if got.data.tobytes() != old_bytes:
-                    errors.append("tuned program output moved "
+                    errors.append("compiled program output moved "
                                   "under weight surgery")
                     return
 
@@ -280,7 +278,7 @@ class TestOperandCacheWeightRaces:
                                   base_bias.copy())
                 swaps += 1
 
-        threads = [threading.Thread(target=tuned_runner),
+        threads = [threading.Thread(target=compiled_runner),
                    threading.Thread(target=functional_runner)]
         swapper = threading.Thread(target=mutator)
         for thread in threads:
@@ -294,11 +292,11 @@ class TestOperandCacheWeightRaces:
         assert min(progress) >= 1   # both runners actually raced
 
         # Quiescence: the cached program is stale, the runtime
-        # recompiles, and tuned bytes equal a fresh functional run
+        # recompiles, and its bytes equal a fresh functional run
         # over the final weights.
         assert old_program.is_stale(graph)
         new_program = runtime.program(graph, calibration=calibration)
-        assert new_program is not old_program and new_program.tuned
+        assert new_program is not old_program
         fresh = LayerComputer(graph, PROCESSOR_FRIENDLY, calibration,
                               enable_caches=False)
         assert (new_program.run(x, keep="outputs")[out].data.tobytes()
