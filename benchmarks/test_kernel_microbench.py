@@ -19,9 +19,23 @@ def conv_input():
     return RNG.standard_normal((1, 64, 56, 56)).astype(np.float32)
 
 
-def test_bench_im2col(benchmark, conv_input):
-    result = benchmark(im2col, conv_input, 3, 1, 1)
-    assert result.shape == (1, 56 * 56, 64 * 9)
+@pytest.mark.parametrize("channels,size,kernel,stride", [
+    (64, 56, 3, 1),     # googlenet conv2/3x3: per-tap copies
+    (3, 224, 7, 2),     # googlenet conv1/7x7_s2: one window-view copy
+], ids=["tap_loop", "window_view"])
+def test_bench_im2col(benchmark, channels, size, kernel, stride):
+    """uint8 code columns, checked byte for byte against the
+    window-view copy (the only formula before the per-tap branch)."""
+    x = RNG.integers(0, 256, (1, channels, size, size)).astype(np.uint8)
+    padding = kernel // 2
+    result = benchmark(im2col, x, kernel, stride, padding, 121.0)
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                        (padding, padding)), constant_values=121)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        padded, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    reference = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+        1, -1, channels * kernel * kernel)
+    assert result.tobytes() == reference.tobytes()
 
 
 def test_bench_gemm_f32(benchmark):
@@ -46,6 +60,30 @@ def test_bench_qgemm(benchmark):
     rhs = RNG.integers(0, 256, (576, 128)).astype(np.uint8)
     out = benchmark(qgemm, lhs, lhs_params, rhs, rhs_params, out_params)
     assert out.dtype == np.uint8
+
+
+def test_bench_qgemm_fused_f32blocks(benchmark):
+    """googlenet conv2/3x3's integer GEMM (3136x576x96) as blocked f32
+    sgemm over centred weights, checked byte for byte against the int32
+    reference qgemm."""
+    from repro.kernels import fused_const_row, pack_f32_blocks, qgemm_fused
+    from repro.quant import prepare_requantize
+    lhs_params = QuantParams(scale=0.02, zero_point=3)
+    rhs_params = QuantParams(scale=0.01, zero_point=131)
+    out_params = QuantParams(scale=0.5, zero_point=9)
+    lhs = RNG.integers(0, 256, (3136, 576)).astype(np.uint8)
+    rhs = RNG.integers(0, 256, (576, 96)).astype(np.uint8)
+    bias_i32 = RNG.integers(-(1 << 16), 1 << 16, 96).astype(np.int32)
+    blocks = pack_f32_blocks(rhs, rhs_params.zero_point)
+    const_row = fused_const_row(rhs.astype(np.int32), lhs_params.zero_point,
+                                rhs_params.zero_point, bias_i32)
+    mantissa, shift = prepare_requantize(lhs_params.scale, rhs_params.scale,
+                                         out_params)
+    out = benchmark(qgemm_fused, lhs, blocks, const_row, mantissa, shift,
+                    out_params, True)
+    reference = qgemm(lhs, lhs_params, rhs, rhs_params, out_params,
+                      bias_i32=bias_i32, relu=True)
+    assert out.tobytes() == reference.tobytes()
 
 
 def test_bench_max_pool(benchmark, conv_input):

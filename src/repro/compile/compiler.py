@@ -8,15 +8,19 @@ and emits one fused step per compute layer:
   (:func:`~repro.kernels.qgemm.qgemm_fused` on the integer pipeline,
   one ``gemm_f16``/``matmul`` with epilogue on the float pipelines);
   all weight-side operands are packed at compile time, including the
-  folded bias/zero-point constant row
-  (:func:`~repro.kernels.qgemm.fused_const_row`) and the pre-decomposed
+  centred f32 weight blocks of the exact blocked-sgemm integer GEMM
+  (:func:`~repro.kernels.qgemm.pack_f32_blocks`), the folded
+  bias/zero-point constant row
+  (:func:`~repro.kernels.qgemm.fused_const_row`), the pre-decomposed
   requantization multiplier
-  (:func:`~repro.quant.linear.prepare_requantize`);
+  (:func:`~repro.quant.linear.prepare_requantize`), and, for an F16
+  part over QUInt8 storage, the 65,536-entry table from f16 results to
+  stored codes (:func:`~repro.quant.half.quantize_half_lut`);
 * **batched GEMM** -- the batch axis folds into the GEMM row dimension
   wherever that is byte-exact: always on the integer pipeline, whose
   accumulators are order-independent (modular int32 arithmetic is
-  associative and commutative, and the exact-f64 fast path is a
-  mathematically determined value).  Float pipelines at batch > 1
+  associative and commutative, and each exact f32 sgemm block is a
+  mathematically determined integer).  Float pipelines at batch > 1
   instead issue one GEMM per sample *inside* the step -- numpy's BLAS
   can change blocking (and therefore float summation order) with the
   row count M, so folding samples into one ``(B*M, K) @ (K, N)`` call
@@ -33,7 +37,8 @@ channel ranges (:func:`~repro.runtime.distribution.channel_ranges`),
 each on its processor's pipeline, concatenated in channel order --
 exactly :meth:`LayerComputer.run_cooperative_shares`.  The parts of a
 quantized-storage conv share one uint8 code column matrix, which the
-float parts dequantize through a 256-entry table; this mirrors (and
+float parts dequantize through a 256-entry table (one ``np.take``
+gather, as for every 256-entry table here); this mirrors (and
 statically guarantees) the functional path's column-cache sharing.
 
 Channel-independent kinds (pooling, ReLU, depthwise with uniform
@@ -47,26 +52,26 @@ since their parts genuinely differ numerically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from ..analysis.memory import plan_arena
 from ..errors import PlanError, QuantizationError
 from ..kernels import (conv_output_hw, depthwise_conv_quint8,
-                       flatten_filters, im2col, max_pool,
-                       pack_depthwise_taps, qgemm_fused)
-from ..kernels.qgemm import (EXACT_GEMM_MAX_DEPTH, fused_const_row,
-                             quantize_bias)
+                       flatten_filters, fused_const_row, im2col, max_pool,
+                       pack_depthwise_taps, pack_f32_blocks, qgemm_fused,
+                       quantize_bias)
 from ..nn import Graph, LayerKind
 from ..nn.layers import Conv2D, DepthwiseConv2D, FullyConnected, Input
-from ..quant import dequantize_lut, dequantize_to_half, prepare_requantize
+from ..quant import (dequantize_lut, lut_gather, prepare_requantize,
+                     quantize_half_lut)
 from ..quant.calibrate import CalibrationTable
 from ..runtime.distribution import channel_ranges
 from ..runtime.plan import ExecutionPlan, LayerAssignment
 from ..tensor import DType, QuantParams
 from .program import (CompiledProgram, CompiledStep, InputSpec,
-                      PlacementPart, PrepareFn, StepFn)
+                      PlacementPart, StepFn)
 
 #: Layers lowered through the shared GEMM path.
 _GemmLayer = Union[Conv2D, FullyConnected]
@@ -133,6 +138,7 @@ class _Lowering:
         self.shapes = graph.infer_shapes()
         self.qparams: Dict[str, Optional[QuantParams]] = {}
         self.weight_refs: List[Tuple[str, np.ndarray, np.ndarray]] = []
+        self.half_luts: Dict[str, np.ndarray] = {}
 
     # -- static metadata -----------------------------------------------------
 
@@ -211,103 +217,78 @@ class _Lowering:
         parts = [self._gemm_part(name, layer, resource, rng, x_qparams,
                                  chunk)
                  for resource, rng in self.placement_parts(name)]
-        lhs_builders = self._gemm_lhs_builders(layer, x_qparams)
+        lhs_of = self._gemm_lhs(layer, x_qparams,
+                                {variant for variant, _ in parts})
         axis = 1 if len(self.out_shape(name)) >= 2 else 0
 
         # Each lhs variant is built once; parts concatenate in channel
         # order.
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            (x,) = inputs
-            lhs_cache: Dict[str, np.ndarray] = {}
-            outs = []
-            for variant, part in parts:
-                lhs = lhs_cache.get(variant)
-                if lhs is None:
-                    lhs = lhs_builders[variant](x)
-                    lhs_cache[variant] = lhs
-                outs.append(part(lhs))
+            lhs = lhs_of(inputs[0])
+            outs = [part(lhs[variant]) for variant, part in parts]
             if len(outs) == 1:
                 return outs[0]
             return np.concatenate(outs, axis=axis)
 
         return fn
 
-    def _gemm_lhs_builders(self, layer: _GemmLayer,
-                           x_qparams: Optional[QuantParams]
-                           ) -> Dict[str, PrepareFn]:
-        """Per-variant activation-side lowerings of one GEMM layer.
+    def _gemm_lhs(self, layer: _GemmLayer,
+                  x_qparams: Optional[QuantParams], variants: Set[str]
+                  ) -> Callable[[np.ndarray], Dict[str, np.ndarray]]:
+        """The activation-side lowering of one GEMM layer: the step
+        input to one lhs matrix per variant its parts use.
 
-        Under QUInt8 storage every variant derives from the shared
-        uint8 code columns -- the float pipelines map them through a
-        256-entry dequantization table, exactly as the functional
-        column cache shares them between a cooperative layer's integer
-        and F16 placements.
+        Under QUInt8 storage every variant derives from one uint8 code
+        column matrix, built once per call -- the float pipelines map
+        it through a 256-entry dequantization table, exactly as the
+        functional column cache shares it between a cooperative layer's
+        integer and F16 placements.
         """
-        is_conv = isinstance(layer, Conv2D)
-        builders: Dict[str, PrepareFn] = {}
-        # Half-precision variants carry float32 arrays holding exactly
-        # representable f16 values: rounding through f16 *before* the
-        # gather/im2col and widening back commutes exactly with doing
-        # it on the column matrix (both are value-exact casts), and the
-        # fused matmul then needs no per-call operand casts.
+        geometry = ((layer.kernel, layer.stride, layer.padding)
+                    if isinstance(layer, Conv2D) else None)
         if self.storage is DType.QUINT8:
             assert x_qparams is not None
             pad = float(x_qparams.zero_point)
-            lut_half = dequantize_lut(x_qparams).astype(np.float32)
-            qp = x_qparams
-            if is_conv:
-                def codes3d(x: np.ndarray) -> np.ndarray:
-                    return im2col(x, layer.kernel, layer.stride,
-                                  layer.padding, pad_value=pad)
+            halves = variants & {"half", "half_f32"}
+            if halves:
+                gather = lut_gather(dequantize_lut(x_qparams))
 
-                def build_codes(x: np.ndarray) -> np.ndarray:
-                    c = codes3d(x)
-                    return c.reshape(-1, c.shape[-1])
+            def lhs_quantized(x: np.ndarray) -> Dict[str, np.ndarray]:
+                codes = x
+                if geometry is not None:
+                    c = im2col(x, *geometry, pad_value=pad)
+                    codes = c.reshape(-1, c.shape[-1])
+                lhs = {"codes": codes}
+                if halves:
+                    values = gather(codes)
+                    for variant in halves:
+                        lhs[variant] = values
+                return lhs
 
-                def build_half(x: np.ndarray) -> np.ndarray:
-                    c = codes3d(x)
-                    return lut_half[c].reshape(-1, c.shape[-1])
+            return lhs_quantized
 
-                builders["codes"] = build_codes
-                builders["half"] = build_half
-            else:
-                def build_codes(x: np.ndarray) -> np.ndarray:
-                    return x
+        # Half-precision variants carry float32 arrays holding exactly
+        # representable f16 values: rounding through f16 *before* the
+        # im2col and widening back commutes exactly with doing it on
+        # the column matrix (both are value-exact casts), and the fused
+        # matmul then needs no per-call operand casts.
+        def columns(x: np.ndarray) -> np.ndarray:
+            if geometry is None:
+                return x
+            c = im2col(x, *geometry, pad_value=0.0)
+            return c.reshape(-1, c.shape[-1])
 
-                def build_half(x: np.ndarray) -> np.ndarray:
-                    return dequantize_to_half(x, qp).astype(np.float32)
+        def lhs_float(x: np.ndarray) -> Dict[str, np.ndarray]:
+            x32 = x.astype(np.float32)
+            lhs: Dict[str, np.ndarray] = {}
+            if "f16" in variants:
+                lhs["f16"] = columns(
+                    x32.astype(np.float16).astype(np.float32))
+            if "f32" in variants:
+                lhs["f32"] = columns(x32)
+            return lhs
 
-                builders["codes"] = build_codes
-                builders["half"] = build_half
-            builders["half_f32"] = builders["half"]
-        else:
-            if is_conv:
-                def build_f16(x: np.ndarray) -> np.ndarray:
-                    c = im2col(x.astype(np.float32).astype(np.float16)
-                               .astype(np.float32),
-                               layer.kernel, layer.stride, layer.padding,
-                               pad_value=0.0)
-                    return c.reshape(-1, c.shape[-1])
-
-                def build_f32(x: np.ndarray) -> np.ndarray:
-                    c = im2col(x.astype(np.float32), layer.kernel,
-                               layer.stride, layer.padding,
-                               pad_value=0.0)
-                    return c.reshape(-1, c.shape[-1])
-
-                builders["f16"] = build_f16
-                builders["f32"] = build_f32
-            else:
-                def build_f16(x: np.ndarray) -> np.ndarray:
-                    return (x.astype(np.float32).astype(np.float16)
-                            .astype(np.float32))
-
-                def build_f32(x: np.ndarray) -> np.ndarray:
-                    return x.astype(np.float32)
-
-                builders["f16"] = build_f16
-                builders["f32"] = build_f32
-        return builders
+        return lhs_float
 
     def _gemm_part(self, name: str, layer: _GemmLayer, resource: str,
                    rng: Optional[Tuple[int, int]],
@@ -355,26 +336,21 @@ class _Lowering:
             rhs = flatten_filters(weight_codes).T
         else:
             rhs = weight_codes.T
-        rhs_i32 = rhs.astype(np.int32)
-        # BLAS dgemm computes the identical accumulator whenever the
-        # depth bound guarantees exactness (see qgemm_fused).
-        rhs_f64 = (rhs.astype(np.float64)
-                   if rhs.shape[0] <= EXACT_GEMM_MAX_DEPTH else None)
+        rhs_blocks = pack_f32_blocks(rhs, w_qparams.zero_point)
         bias_i32 = quantize_bias(bias, x_qparams.scale, w_qparams.scale)
-        const_row = fused_const_row(rhs_i32, x_qparams.zero_point,
+        const_row = fused_const_row(rhs.astype(np.int32),
+                                    x_qparams.zero_point,
                                     w_qparams.zero_point, bias_i32)
         out_qparams = self.qparams[name]
         assert out_qparams is not None
         mantissa, shift = prepare_requantize(
             x_qparams.scale, w_qparams.scale, out_qparams)
-        rhs_zero = w_qparams.zero_point
         relu = layer.relu
         shape = self._part_shape(layer, rng)
 
         def run(lhs: np.ndarray) -> np.ndarray:
-            out_rows = qgemm_fused(lhs, rhs_i32, rhs_zero, const_row,
-                                   mantissa, shift, out_qparams,
-                                   relu=relu, rhs_f64=rhs_f64)
+            out_rows = qgemm_fused(lhs, rhs_blocks, const_row, mantissa,
+                                   shift, out_qparams, relu=relu)
             return _fold_gemm_output(out_rows, shape)
 
         return run
@@ -416,6 +392,23 @@ class _Lowering:
         else:
             def matmul(lhs: np.ndarray) -> np.ndarray:
                 return lhs @ rhs + bias
+
+        if half and quantized:
+            # The stored code is an elementwise function of the f16
+            # result, so widening, ReLU and quantize are one gather
+            # through the layer's table (shared by its F16 parts).
+            assert out_qparams is not None
+            lut = self.half_luts.get(name)
+            if lut is None:
+                lut = quantize_half_lut(out_qparams, relu)
+                self.half_luts[name] = lut
+
+            def run_lut(lhs: np.ndarray) -> np.ndarray:
+                out16 = _matmul_rows(lhs, matmul, chunk)
+                return _fold_gemm_output(
+                    np.take(lut, out16.view(np.uint16)), shape)
+
+            return run_lut
 
         def run(lhs: np.ndarray) -> np.ndarray:
             out_rows = _matmul_rows(lhs, matmul, chunk)
@@ -519,7 +512,7 @@ class _Lowering:
                 table = table.astype(np.float16).astype(np.float32)
 
             def values_of(x: np.ndarray) -> np.ndarray:
-                return table[x[:, lo:hi]]
+                return np.take(table, x[:, lo:hi])
         else:
             def values_of(x: np.ndarray) -> np.ndarray:
                 values = x[:, lo:hi].astype(np.float32)
@@ -604,7 +597,7 @@ class _Lowering:
 
             def fn(inputs: List[np.ndarray]) -> np.ndarray:
                 (x,) = inputs
-                values = layer.forward_f32([centered[x]])
+                values = layer.forward_f32([np.take(centered, x)])
                 return np.clip(np.round(values + zero_point),
                                0, 255).astype(np.uint8)
             return fn
@@ -622,7 +615,7 @@ class _Lowering:
                     qp.dequantize(codes256)))
 
             def fn(inputs: List[np.ndarray]) -> np.ndarray:
-                parts = [remap[a]
+                parts = [np.take(remap, a)
                          for a, remap in zip(inputs, remaps)]
                 return np.concatenate(parts, axis=axis)
             return fn
@@ -635,7 +628,7 @@ class _Lowering:
             tables.append(qp.dequantize(codes256))
 
         def fn(inputs: List[np.ndarray]) -> np.ndarray:
-            values = [table[a]
+            values = [np.take(table, a)
                       for a, table in zip(inputs, tables)]
             return out_qparams.quantize(layer.forward_f32(values))
         return fn

@@ -66,11 +66,6 @@ StepFn = Callable[[List[np.ndarray]], np.ndarray]
 #: contiguous output-channel range, or ``None`` for the whole layer.
 PlacementPart = Tuple[str, Optional[Tuple[int, int]]]
 
-#: Builds one prepared-operand variant (im2col columns / dequantized
-#: lhs) from the step's single input array.
-PrepareFn = Callable[[np.ndarray], np.ndarray]
-
-
 @dataclasses.dataclass(frozen=True)
 class CompiledStep:
     """One pre-resolved compute step of a compiled program.

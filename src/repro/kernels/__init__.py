@@ -10,8 +10,8 @@ from .gemm import gemm_f16, gemm_f32
 from .im2col import (col2im_shape, conv_output_hw, flatten_filters, im2col)
 from .op_cache import OperandCache
 from .pooling import avg_pool, global_avg_pool, max_pool
-from .qgemm import (fused_const_row, qgemm, qgemm_accumulate, qgemm_fused,
-                    quantize_bias)
+from .qgemm import (fused_const_row, pack_f32_blocks, qgemm,
+                    qgemm_accumulate, qgemm_fused, quantize_bias)
 
 __all__ = [
     "depthwise_conv_quint8",
@@ -27,6 +27,7 @@ __all__ = [
     "global_avg_pool",
     "max_pool",
     "fused_const_row",
+    "pack_f32_blocks",
     "qgemm",
     "qgemm_accumulate",
     "qgemm_fused",

@@ -82,7 +82,4 @@ def depthwise_conv_quint8(codes: np.ndarray, input_zero: int,
                             taps[i, j], out=product)
                 acc += product
     acc += np.asarray(bias_i32, dtype=np.int32).reshape(1, channels, 1, 1)
-    out = requantize_prepared(acc, mantissa, shift, output)
-    if relu:
-        out = np.maximum(out, np.uint8(output.zero_point))
-    return out
+    return requantize_prepared(acc, mantissa, shift, output, relu=relu)

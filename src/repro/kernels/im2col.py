@@ -61,7 +61,22 @@ def im2col(images: np.ndarray, kernel: int, stride: int, padding: int,
         padded[:, :, padding:padding + in_h, padding:padding + in_w] = images
     else:
         padded = images
-    # Strided-view extraction of all kernel x kernel windows.
+    rows = (batch, out_h * out_w, channels * kernel * kernel)
+    if channels >= kernel:
+        # One strided copy per tap: the destination's inner (C, k, k)
+        # block is the row layout, and each copy moves a whole channel
+        # plane of one tap.
+        columns = np.empty((batch, out_h, out_w, channels, kernel, kernel),
+                           dtype=padded.dtype)
+        nhwc = padded.transpose(0, 2, 3, 1)
+        span_h, span_w = stride * (out_h - 1) + 1, stride * (out_w - 1) + 1
+        for i in range(kernel):
+            for j in range(kernel):
+                columns[..., i, j] = nhwc[:, i:i + span_h:stride,
+                                          j:j + span_w:stride]
+        return columns.reshape(rows)
+    # Few channels, wide kernel: k*k copies of a thin channel axis cost
+    # more than one copy of the strided view of all windows.
     stride_b, stride_c, stride_h, stride_w = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded,
@@ -71,9 +86,8 @@ def im2col(images: np.ndarray, kernel: int, stride: int, padding: int,
         writeable=False,
     )
     # (batch, out_h, out_w, channels, kernel, kernel) -> rows.
-    columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch, out_h * out_w, channels * kernel * kernel)
-    return np.ascontiguousarray(columns)
+    return np.ascontiguousarray(
+        windows.transpose(0, 2, 3, 1, 4, 5)).reshape(rows)
 
 
 def col2im_shape(batch: int, out_channels: int, out_h: int,

@@ -13,10 +13,15 @@ With ``real = s * (q - z)`` for LHS (activations) and RHS (weights):
         = sum_k ql*qr - zl * sum_k qr - zr * sum_k ql + K * zl * zr
 
 so a single integer matmul plus row/column sums produces the exact
-integer accumulator.
+integer accumulator.  :func:`qgemm` computes it that way and is the
+reference.  :func:`qgemm_fused`, the compiled path's kernel, centres
+the weights on their zero point at pack time instead and runs the
+matmul as exact blocked float32 BLAS sgemm.
 """
 
 from __future__ import annotations
+
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -95,11 +100,12 @@ def fused_const_row(rhs_i32: np.ndarray, lhs_zero: int, rhs_zero: int,
     """The weight-only constant row of the fused quantized GEMM.
 
     Of the four terms of the gemmlowp identity only
-    ``- zr * sum_k ql`` depends on the activations; the remaining
-    ``bias - zl * sum_k qr + K * zl * zr`` is folded into one row at
-    compile time.  Integer addition wraps modulo 2^32 and is therefore
-    associative, so re-associating the sum this way -- and returning
-    the row already wrapped to int32 -- keeps the final int32
+    ``- zr * sum_k ql`` depends on the activations, and the centred
+    weights of :func:`pack_f32_blocks` absorb it into the matmul; the
+    remaining ``bias - zl * sum_k qr + K * zl * zr`` is folded into one
+    row at compile time.  Integer addition wraps modulo 2^32 and is
+    therefore associative, so re-associating the sum this way -- and
+    returning the row already wrapped to int32 -- keeps the final int32
     accumulator byte-identical to :func:`qgemm_accumulate`.
     """
     depth = rhs_i32.shape[0]
@@ -110,55 +116,69 @@ def fused_const_row(rhs_i32: np.ndarray, lhs_zero: int, rhs_zero: int,
     return const.astype(np.int32)
 
 
-#: Largest GEMM depth for which the uint8 x uint8 accumulator provably
-#: fits an int32 (and, a fortiori, is exactly representable in f64):
-#: ``depth * 255 * 255 < 2**31``.
-EXACT_GEMM_MAX_DEPTH = (2 ** 31 - 1) // (255 * 255)
+#: Deepest row block of centred weight codes whose products sum
+#: exactly in float32: every partial sum of ``EXACT_F32_BLOCK`` terms
+#: ``ql * (qr - zr)`` (each of magnitude at most ``255 * 255``) is an
+#: integer of magnitude below ``2**24``, and float32 holds every such
+#: integer.
+EXACT_F32_BLOCK = 2 ** 24 // (255 * 255)
 
 
-def qgemm_fused(lhs_q: np.ndarray, rhs_i32: np.ndarray, rhs_zero: int,
+def pack_f32_blocks(rhs_q: np.ndarray,
+                    rhs_zero: int) -> Tuple[np.ndarray, ...]:
+    """Centre (k, n) uint8 weight codes and split them for
+    :func:`qgemm_fused`.
+
+    Returns float32 row blocks of ``rhs_q - rhs_zero`` (values in
+    [-255, 255]) of at most :data:`EXACT_F32_BLOCK` rows each, in depth
+    order.  Centring the weights absorbs the ``- zr * sum_k ql`` term of
+    the gemmlowp identity, so no activation row sums are needed.
+    """
+    centred = rhs_q.astype(np.float32) - np.float32(rhs_zero)
+    depth = centred.shape[0]
+    return tuple(np.ascontiguousarray(centred[k:k + EXACT_F32_BLOCK])
+                 for k in range(0, depth, EXACT_F32_BLOCK))
+
+
+def qgemm_fused(lhs_q: np.ndarray, rhs_blocks: Sequence[np.ndarray],
                 const_row: np.ndarray, mantissa: int, shift: int,
                 output_params: QuantParams,
-                relu: bool = False,
-                rhs_f64: "np.ndarray | None" = None) -> np.ndarray:
-    """Fully fused quantized GEMM: one matmul plus epilogue.
+                relu: bool = False) -> np.ndarray:
+    """Fully fused quantized GEMM: blocked sgemm plus epilogue.
 
-    The compiled execution path's integer kernel: all weight-side
-    operands are pre-packed (``rhs_i32`` widened once,
-    :func:`fused_const_row` folding bias and zero-point terms, the
-    requantization multiplier pre-decomposed via
-    :func:`~repro.quant.linear.prepare_requantize`), leaving a single
-    integer matmul, the activation-side row-sum correction, the
-    fixed-point requantization, and the fused ReLU clamp.
+    The compiled execution path's integer kernel.  All weight-side
+    operands are pre-packed: the centred f32 weight blocks of
+    :func:`pack_f32_blocks`, the bias and zero-point terms folded into
+    :func:`fused_const_row`, and the requantization multiplier
+    pre-decomposed by :func:`~repro.quant.linear.prepare_requantize`.
+    Per call the uint8 columns are widened to float32 once, each depth
+    block runs as one BLAS sgemm, and the blocks are summed in int32.
 
-    When the caller supplies ``rhs_f64`` (the weight codes pre-widened
-    to float64) the raw product matmul runs through BLAS dgemm instead
-    of numpy's generic integer loop.  This is *exact*, not
-    approximate: for ``depth <= EXACT_GEMM_MAX_DEPTH`` every partial
-    sum of uint8 x uint8 products is an integer below 2**31 < 2**53,
-    so each f64 addition is performed without rounding regardless of
-    summation order, and the truncation back to int32 recovers the
-    identical accumulator.  Callers must enforce the depth bound.
-
-    Byte-identical to :func:`qgemm` over the same operands: the whole
-    pipeline stays in wrapping int32 arithmetic (sums, products, and
-    additions all agree with the int64-then-truncate formulation
-    modulo 2^32 by associativity), and the epilogue is the identical
-    expression.
+    This is *exact*, not approximate: within a block every partial sum
+    is an integer of magnitude below ``2**24`` (see
+    :data:`EXACT_F32_BLOCK`), so each f32 addition is performed without
+    rounding in any summation order, FMA included, and the cast to
+    int32 recovers the block's integer.  Summing the blocks and
+    ``const_row`` in wrapping int32 then gives the exact accumulator
+    modulo 2^32, which is the int32 that :func:`qgemm_accumulate`
+    returns, at every depth.  So the output is byte-identical to
+    :func:`qgemm` over the same operands.
     """
-    if rhs_f64 is not None:
-        raw = (lhs_q.astype(np.float64) @ rhs_f64).astype(np.int32)
-        lhs_sums = np.sum(lhs_q, axis=-1, keepdims=True,
-                          dtype=np.int32)
-    else:
-        lhs_i32 = lhs_q.astype(np.int32)
-        raw = lhs_i32 @ rhs_i32
-        lhs_sums = lhs_i32.sum(axis=-1, keepdims=True, dtype=np.int32)
-    acc = raw - np.int32(rhs_zero) * lhs_sums + const_row
-    out = requantize_prepared(acc, mantissa, shift, output_params)
-    if relu:
-        out = np.maximum(out, np.uint8(output_params.zero_point))
-    return out
+    lhs = lhs_q.astype(np.float32)
+    acc: "np.ndarray | None" = None
+    start = 0
+    for block in rhs_blocks:
+        stop = start + block.shape[0]
+        part = (lhs[:, start:stop] @ block).astype(np.int32)
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+        start = stop
+    assert acc is not None
+    acc += const_row
+    return requantize_prepared(acc, mantissa, shift, output_params,
+                               relu=relu)
 
 
 def qgemm(lhs_q: np.ndarray, lhs_params: QuantParams, rhs_q: np.ndarray,

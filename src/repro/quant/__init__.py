@@ -4,7 +4,7 @@ from .calibrate import (CalibrationTable, MinMaxObserver, PercentileObserver)
 from .fake_quant import (EmaRangeObserver, fake_quantize,
                          fake_quantize_gradient, fake_quantize_with_observer)
 from .half import (dequantize_lut, dequantize_to_half, from_half, half_ulp,
-                   tensor_to_half, to_half)
+                   lut_gather, quantize_half_lut, tensor_to_half, to_half)
 from .linear import (dequantize, prepare_requantize, quantize,
                      quantize_tensor, quantized_multiplier, requantize,
                      requantize_float_reference, requantize_prepared)
@@ -21,6 +21,8 @@ __all__ = [
     "dequantize_to_half",
     "from_half",
     "half_ulp",
+    "lut_gather",
+    "quantize_half_lut",
     "tensor_to_half",
     "to_half",
     "dequantize",

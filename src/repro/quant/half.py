@@ -9,6 +9,8 @@ dequantize-to-half step.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..tensor import DType, QuantParams, Tensor
@@ -62,6 +64,48 @@ def dequantize_lut(qparams: QuantParams) -> np.ndarray:
       zero-point padding maps onto the float pipeline's 0.0 padding.
     """
     return dequantize_to_half(np.arange(256, dtype=np.uint8), qparams)
+
+
+def lut_gather(lut: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``np.take(lut, codes)`` over uint8 codes, widened to float32 and
+    done two codes per index.
+
+    A uint16 view of a contiguous code array indexes a table of every
+    code pair, so ``np.take`` converts and gathers half as many
+    indices.  The pairs come from the uint8 view of every uint16, so
+    the table follows the machine's byte order.  An odd element count
+    or a non-contiguous array takes the 256-entry table.
+    """
+    lut = np.asarray(lut).astype(np.float32)
+    pairs = np.take(lut, np.arange(1 << 16, dtype=np.uint16).view(
+        np.uint8)).reshape(-1, 2)
+
+    def gather(codes: np.ndarray) -> np.ndarray:
+        if codes.size % 2 or not codes.flags.c_contiguous:
+            return np.take(lut, codes)
+        flat = codes.reshape(-1).view(np.uint16)
+        return np.take(pairs, flat, axis=0).reshape(codes.shape)
+
+    return gather
+
+
+def quantize_half_lut(qparams: QuantParams, relu: bool) -> np.ndarray:
+    """The 65,536-entry table from float16 bit patterns to uint8 codes.
+
+    Entry ``b`` is ``qparams.quantize(f32(h))`` for the f16 value ``h``
+    whose bit pattern is ``b`` -- after ``max(., 0)`` when ``relu`` is
+    set -- with +-inf and NaN included.  Widening, clamping and
+    quantizing are all elementwise, so storing an F16 result as codes
+    is one gather, ``np.take(table, out16.view(np.uint16))``,
+    bit-identical to running the expression on the result itself.
+    """
+    values = np.arange(1 << 16, dtype=np.uint16).view(
+        np.float16).astype(np.float32)
+    if relu:
+        values = np.maximum(values, 0.0)
+    # NaN entries cast to uint8 exactly as they would per element.
+    with np.errstate(invalid="ignore"):
+        return qparams.quantize(values)
 
 
 def half_ulp(value: float) -> float:

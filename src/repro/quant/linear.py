@@ -96,7 +96,8 @@ def prepare_requantize(input_scale: float, weight_scale: float,
 
 
 def requantize_prepared(acc: np.ndarray, mantissa: int, shift: int,
-                        output: QuantParams) -> np.ndarray:
+                        output: QuantParams,
+                        relu: bool = False) -> np.ndarray:
     """Convert i32 accumulators to uint8 codes with a pre-decomposed
     multiplier (see :func:`prepare_requantize`).
 
@@ -119,6 +120,11 @@ def requantize_prepared(acc: np.ndarray, mantissa: int, shift: int,
     correctly rounded value is 0 and every output is the zero-point
     code.  The zero point is added in int64, so a result near
     INT32_MAX saturates to 255 instead of wrapping.
+
+    ``relu`` fuses gemmlowp's clamp at the code that represents real
+    zero into the saturating clip, by raising its lower bound to the
+    zero point: ``clip(v, zp, 255) == max(clip(v, 0, 255), zp)`` for
+    every zero point in [0, 255].
     """
     acc = np.asarray(acc, dtype=np.int32)
     if shift < 0:
@@ -139,7 +145,8 @@ def requantize_prepared(acc: np.ndarray, mantissa: int, shift: int,
     scaled -= (acc >> 31).astype(np.int64) & drop
     scaled >>= 31 + shift
     scaled += output.zero_point
-    np.clip(scaled, QMIN, QMAX, out=scaled)
+    np.clip(scaled, output.zero_point if relu else QMIN, QMAX,
+            out=scaled)
     return scaled.astype(np.uint8)
 
 

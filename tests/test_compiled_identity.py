@@ -4,8 +4,10 @@ The compiled execution path's correctness bar, mirroring the operand-
 cache and batching suites: running a graph through the lowered
 :class:`~repro.compile.program.CompiledProgram` must be *byte-identical*
 to the per-layer functional interpreter -- for every mini-zoo model,
-four plan mechanisms (single-processor baseline, matched cooperative
-splits under uniform F16 and uniform F32, the partitioner's PFQ plan),
+five plan mechanisms (single-processor baseline, matched cooperative
+splits under uniform F16, uniform F32 and PFQ -- the last pairing an
+integer CPU part with an F16-over-QUInt8 GPU part on every splittable
+layer -- and the partitioner's PFQ plan),
 batch sizes 1 and 4, and several seeded inputs per cell (a rounding
 divergence can hide on any one input).  The
 compiled path reproduces the interpreter's exact kernel semantics
@@ -29,7 +31,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.plan import ExecutionPlan, LayerAssignment
 from repro.soc import EXYNOS_7420
 
-MECHANISMS = ("baseline", "split", "split_f32", "pfq")
+MECHANISMS = ("baseline", "split", "split_f32", "split_pfq", "pfq")
 BATCHES = (1, 4)
 #: Seeded inputs checked per (model, mechanism, batch) cell.
 INPUTS_PER_CELL = 3
@@ -54,6 +56,8 @@ def _plan_for(graph, mechanism):
         return _split_plan(graph, UNIFORM_F16)
     if mechanism == "split_f32":
         return _split_plan(graph, UNIFORM_F32)
+    if mechanism == "split_pfq":
+        return _split_plan(graph, PROCESSOR_FRIENDLY)
     assert mechanism == "pfq"
     return MuLayer(EXYNOS_7420, PROCESSOR_FRIENDLY).plan(graph)
 

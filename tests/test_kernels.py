@@ -10,10 +10,12 @@ from hypothesis.extra import numpy as hnp
 from repro.errors import ShapeError
 from repro.kernels import (avg_pool, conv_output_hw,
                            depthwise_conv_quint8, flatten_filters,
-                           gemm_f16, gemm_f32, global_avg_pool, im2col,
-                           max_pool, pack_depthwise_taps, qgemm,
-                           qgemm_accumulate, quantize_bias)
-from repro.quant import requantize_prepared
+                           fused_const_row, gemm_f16, gemm_f32,
+                           global_avg_pool, im2col, max_pool,
+                           pack_depthwise_taps, pack_f32_blocks, qgemm,
+                           qgemm_accumulate, qgemm_fused, quantize_bias)
+from repro.kernels.qgemm import EXACT_F32_BLOCK
+from repro.quant import prepare_requantize, requantize_prepared
 from repro.tensor import QuantParams
 
 
@@ -77,6 +79,46 @@ class TestIm2col:
         x = np.zeros((3, 2, 10, 10), dtype=np.float32)
         columns = im2col(x, 3, 1, 0)
         assert columns.shape == (3, 64, 18)
+
+    @given(channels=st.integers(1, 6), kernel=st.integers(1, 5),
+           stride=st.integers(1, 3), batch=st.integers(1, 3),
+           extra_h=st.integers(0, 6), extra_w=st.integers(0, 6),
+           pad_frac=st.integers(0, 2),
+           dtype=st.sampled_from([np.uint8, np.float16, np.float32]),
+           pad_value=st.integers(1, 255), seed=st.integers(0, 2 ** 32 - 1))
+    @example(channels=2, kernel=5, stride=2, batch=3, extra_h=3, extra_w=0,
+             pad_frac=2, dtype=np.uint8, pad_value=17, seed=0)
+    @example(channels=8, kernel=3, stride=1, batch=2, extra_h=1, extra_w=5,
+             pad_frac=1, dtype=np.float16, pad_value=200, seed=1)
+    @example(channels=3, kernel=1, stride=3, batch=1, extra_h=6, extra_w=2,
+             pad_frac=0, dtype=np.float32, pad_value=9, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_gather(self, channels, kernel, stride, batch,
+                                  extra_h, extra_w, pad_frac, dtype,
+                                  pad_value, seed):
+        """Both branches (per-tap copies when ``channels >= kernel``,
+        one window-view copy otherwise) equal a per-window gather loop
+        byte for byte, on non-square inputs with padding."""
+        padding = pad_frac * (kernel // 2) // 2
+        in_h, in_w = kernel + extra_h, kernel + extra_w + 1
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 256, (batch, channels, in_h, in_w)).astype(
+            dtype)
+        got = im2col(x, kernel, stride, padding, pad_value=float(pad_value))
+        padded = np.full((batch, channels, in_h + 2 * padding,
+                          in_w + 2 * padding), pad_value, dtype=dtype)
+        padded[:, :, padding:padding + in_h, padding:padding + in_w] = x
+        out_h, out_w = conv_output_hw(in_h, in_w, kernel, stride, padding)
+        expected = np.empty((batch, out_h * out_w,
+                             channels * kernel * kernel), dtype=dtype)
+        for oy in range(out_h):
+            for ox in range(out_w):
+                window = padded[:, :, oy * stride:oy * stride + kernel,
+                                ox * stride:ox * stride + kernel]
+                expected[:, oy * out_w + ox] = window.reshape(batch, -1)
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
     def test_flatten_filters_shape(self):
         filters = np.zeros((4, 3, 5, 5))
@@ -169,6 +211,85 @@ class TestQgemm:
                       rhs_params.quantize(real_rhs), rhs_params,
                       out_params, relu=True)
         assert codes.min() >= out_params.zero_point
+
+    def test_f32_block_bound(self):
+        """Every partial sum of a block of centred products stays below
+        2**24, where float32 holds every integer; one more row breaks
+        the bound."""
+        assert EXACT_F32_BLOCK * 255 ** 2 < 2 ** 24
+        assert (EXACT_F32_BLOCK + 1) * 255 ** 2 >= 2 ** 24
+        rhs = np.zeros((2 * EXACT_F32_BLOCK + 1, 3), np.uint8)
+        blocks = pack_f32_blocks(rhs, 7)
+        assert [b.shape[0] for b in blocks] == [EXACT_F32_BLOCK,
+                                                EXACT_F32_BLOCK, 1]
+        assert all(b.dtype == np.float32 for b in blocks)
+        assert all((b == -7).all() for b in blocks)
+
+    @given(depth=st.sampled_from([1, 257, 258, 259, 516, 517, 33_100]),
+           batch=st.integers(1, 3), rows=st.integers(1, 4),
+           cols=st.integers(1, 5),
+           lhs_fill=st.sampled_from([None, 0, 255]),
+           rhs_fill=st.sampled_from([None, 0, 255]),
+           x_zero=st.sampled_from([0, 128, 255]),
+           w_zero=st.sampled_from([0, 128, 255]),
+           out_scale=st.sampled_from([1e-3, 0.05, 4.0]),
+           relu=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_fused_matches_qgemm(self, depth, batch, rows, cols, lhs_fill,
+                                 rhs_fill, x_zero, w_zero, out_scale, relu,
+                                 seed):
+        """qgemm_fused (blocked f32 sgemm over centred weights) equals
+        the int32 reference qgemm byte for byte, across block edges and
+        past depth 33,025 (where the next test forces the wrap)."""
+        rng = np.random.default_rng(seed)
+
+        def codes(shape, fill):
+            if fill is None:
+                return rng.integers(0, 256, shape).astype(np.uint8)
+            return np.full(shape, fill, np.uint8)
+
+        lhs = codes((batch * rows, depth), lhs_fill)
+        rhs = codes((depth, cols), rhs_fill)
+        bias_i32 = rng.integers(-(1 << 20), 1 << 20, cols).astype(np.int32)
+        x_params = QuantParams(scale=0.02, zero_point=x_zero)
+        w_params = QuantParams(scale=0.01, zero_point=w_zero)
+        out = QuantParams(scale=out_scale,
+                          zero_point=int(rng.integers(0, 256)))
+        # The reference's int32 scalar terms wrap at the deepest size.
+        with np.errstate(over="ignore"):
+            expected = qgemm(lhs, x_params, rhs, w_params, out,
+                             bias_i32=bias_i32, relu=relu)
+        mantissa, shift = prepare_requantize(x_params.scale,
+                                             w_params.scale, out)
+        const_row = fused_const_row(rhs.astype(np.int32), x_zero, w_zero,
+                                    bias_i32)
+        got = qgemm_fused(lhs, pack_f32_blocks(rhs, w_zero), const_row,
+                          mantissa, shift, out, relu=relu)
+        assert got.dtype == np.uint8
+        assert got.tobytes() == expected.tobytes()
+
+    def test_fused_wraps_like_int32(self):
+        """Past depth 33,025 the exact accumulator leaves the int32
+        range; the blocks sum in wrapping int32 exactly as qgemm's
+        int32 matmul does."""
+        depth = 33_100
+        lhs = np.full((2, depth), 255, np.uint8)
+        rhs = np.zeros((depth, 3), np.uint8)
+        exact = (lhs.astype(np.int64) @ (rhs.astype(np.int64) - 255))
+        assert exact.min() < -(1 << 31)
+        x_params = QuantParams(scale=0.02, zero_point=0)
+        w_params = QuantParams(scale=0.01, zero_point=255)
+        out = QuantParams(scale=1e-3, zero_point=100)
+        with np.errstate(over="ignore"):
+            acc = qgemm_accumulate(lhs, 0, rhs, 255)
+            expected = qgemm(lhs, x_params, rhs, w_params, out)
+        assert acc.tolist() == exact.astype(np.int32).tolist()
+        mantissa, shift = prepare_requantize(0.02, 0.01, out)
+        const_row = fused_const_row(rhs.astype(np.int32), 0, 255,
+                                    np.zeros(3, np.int32))
+        got = qgemm_fused(lhs, pack_f32_blocks(rhs, 255), const_row,
+                          mantissa, shift, out)
+        assert got.tobytes() == expected.tobytes()
 
     def test_quantize_bias_units(self):
         bias = np.array([1.0])

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.quant import (dequantize_to_half, from_half, half_ulp,
+from repro.quant import (dequantize_lut, dequantize_to_half, from_half,
+                         half_ulp, lut_gather, quantize_half_lut,
                          tensor_to_half, to_half)
 from repro.tensor import DType, QuantParams, Tensor
 
@@ -54,6 +55,54 @@ class TestDequantizeToHalf:
         qp = QuantParams(scale=0.1, zero_point=0)
         out = dequantize_to_half(np.array([1, 2], dtype=np.uint8), qp)
         assert out.dtype == np.float16
+
+
+class TestLutGather:
+    def test_matches_fancy_indexing(self, rng):
+        """Pair gathers (even, contiguous) and the one-code fallback
+        (odd counts, strided views) all equal ``lut[codes]``."""
+        lut = dequantize_lut(QuantParams(scale=0.037, zero_point=131))
+        gather = lut_gather(lut)
+        expected_lut = lut.astype(np.float32)
+        for shape in ((6, 5), (7, 5), (1, 1), (3, 1024), (2, 3, 9, 4)):
+            codes = rng.integers(0, 256, shape).astype(np.uint8)
+            for view in (codes, codes[..., ::2], codes.T):
+                got = gather(view)
+                expected = expected_lut[view]
+                assert got.dtype == np.float32
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+
+class TestQuantizeHalfLut:
+    """The f16 -> code table equals the F16 epilogue it replaces: widen
+    to f32, optional ReLU, quantize -- on every non-NaN f16 value."""
+
+    def test_matches_widen_relu_quantize(self, rng):
+        bits = rng.permutation(1 << 16).astype(np.uint16).reshape(256, 256)
+        halves = bits.view(np.float16)
+        finite_or_inf = ~np.isnan(halves)
+        for qparams in (QuantParams(scale=0.02, zero_point=0),
+                        QuantParams(scale=0.37, zero_point=131),
+                        QuantParams(scale=1e-4, zero_point=255)):
+            for relu in (False, True):
+                values = halves.astype(np.float32)
+                if relu:
+                    values = np.maximum(values, 0.0)
+                with np.errstate(invalid="ignore"):    # NaN codes
+                    expected = qparams.quantize(values)
+                table = quantize_half_lut(qparams, relu)
+                assert table.shape == (1 << 16,)
+                assert table.dtype == np.uint8
+                got = np.take(table, bits)
+                assert np.array_equal(got[finite_or_inf],
+                                      expected[finite_or_inf])
+
+    def test_infinities(self):
+        qparams = QuantParams(scale=0.1, zero_point=40)
+        inf = np.array([np.inf, -np.inf], np.float16).view(np.uint16)
+        assert quantize_half_lut(qparams, False)[inf].tolist() == [255, 0]
+        assert quantize_half_lut(qparams, True)[inf].tolist() == [255, 40]
 
 
 class TestHalfUlp:

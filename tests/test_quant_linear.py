@@ -149,13 +149,17 @@ def two_step_requantize(acc, mantissa, shift, output):
     return np.clip(shifted, 0, 255).astype(np.uint8)
 
 
-def expected_codes(acc, mantissa, shift, output):
+def expected_codes(acc, mantissa, shift, output, relu=False):
     """The two-step reference; from shift 32 on the real product
     ``acc * mantissa * 2**(-31-shift)`` is below one half in magnitude,
-    so every code is the zero point."""
+    so every code is the zero point.  ``relu`` clamps the codes at the
+    zero point afterwards, as a separate pass."""
     if shift >= 32:
         return np.full(np.shape(acc), output.zero_point, dtype=np.uint8)
-    return two_step_requantize(acc, mantissa, shift, output)
+    codes = two_step_requantize(acc, mantissa, shift, output)
+    if relu:
+        codes = np.maximum(codes, np.uint8(output.zero_point))
+    return codes
 
 
 _EDGE_ACCUMULATORS = [INT32_MIN, INT32_MAX, 0, 1, -1]
@@ -183,24 +187,38 @@ class TestRequantizeOneRounding:
     """requantize_prepared's single rounding step equals gemmlowp's two
     nested roundings byte for byte."""
 
-    @given(accumulators, mantissas, st.integers(-3, 40), zero_points)
-    @example(np.array(_EDGE_ACCUMULATORS, np.int32), (1 << 31) - 1, 31, 0)
-    @example(np.array(_EDGE_ACCUMULATORS, np.int32), 1 << 30, 0, 255)
+    @given(accumulators, mantissas, st.integers(-3, 40), zero_points,
+           st.booleans())
+    @example(np.array(_EDGE_ACCUMULATORS, np.int32), (1 << 31) - 1, 31, 0,
+             False)
+    @example(np.array(_EDGE_ACCUMULATORS, np.int32), 1 << 30, 0, 255,
+             False)
     @example(np.array(_EDGE_ACCUMULATORS, np.int32), (1 << 31) - 1, -3,
-             128)
+             128, False)
+    @example(np.array(_EDGE_ACCUMULATORS, np.int32), (1 << 31) - 1, 31, 0,
+             True)
+    @example(np.array(_EDGE_ACCUMULATORS, np.int32), 1 << 30, 0, 255,
+             True)
+    @example(np.array(_EDGE_ACCUMULATORS, np.int32), (1 << 31) - 1, -3,
+             128, True)
+    @example(np.array(_EDGE_ACCUMULATORS, np.int32), 1 << 30, 33, 77,
+             True)
     @settings(max_examples=400, deadline=None)
-    def test_matches_two_step_formula(self, acc, mantissa, shift, zero):
+    def test_matches_two_step_formula(self, acc, mantissa, shift, zero,
+                                      relu):
+        """With ``relu`` the clip's lower bound is the zero point, which
+        equals clamping the unfused codes at it afterwards."""
         out = QuantParams(scale=0.05, zero_point=zero)
-        got = requantize_prepared(acc, mantissa, shift, out)
+        got = requantize_prepared(acc, mantissa, shift, out, relu=relu)
         assert got.dtype == np.uint8
-        assert got.tobytes() == expected_codes(acc, mantissa, shift,
-                                               out).tobytes()
+        assert got.tobytes() == expected_codes(acc, mantissa, shift, out,
+                                               relu).tobytes()
 
     @given(mantissas, st.integers(1, 31), st.integers(-64, 63),
-           zero_points)
+           zero_points, st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_ties_of_the_second_rounding(self, mantissa, shift, quotient,
-                                         zero):
+                                         zero, relu):
         """High-mul results exactly halfway between two multiples of
         2**shift, on both signs."""
         half = 1 << (shift - 1)
@@ -210,12 +228,14 @@ class TestRequantizeOneRounding:
                                     for t in targets)
                         if INT32_MIN <= a <= INT32_MAX], dtype=np.int32)
         out = QuantParams(scale=0.05, zero_point=zero)
-        assert (requantize_prepared(acc, mantissa, shift, out).tobytes()
-                == two_step_requantize(acc, mantissa, shift, out).tobytes())
+        assert (requantize_prepared(acc, mantissa, shift, out,
+                                    relu=relu).tobytes()
+                == expected_codes(acc, mantissa, shift, out,
+                                  relu).tobytes())
 
-    @given(mantissas, st.integers(0, 31), zero_points)
+    @given(mantissas, st.integers(0, 31), zero_points, st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_ties_of_the_high_mul(self, mantissa, shift, zero):
+    def test_ties_of_the_high_mul(self, mantissa, shift, zero, relu):
         """Products exactly halfway between two multiples of 2**31:
         ``acc * m = 2**30 (mod 2**31)``, on both signs."""
         mantissa |= 1          # odd, so invertible modulo 2**31
@@ -223,8 +243,10 @@ class TestRequantizeOneRounding:
         acc = np.array([tie, tie - (1 << 31)], dtype=np.int32)
         assert all(int(a) * mantissa % (1 << 31) == 1 << 30 for a in acc)
         out = QuantParams(scale=0.05, zero_point=zero)
-        assert (requantize_prepared(acc, mantissa, shift, out).tobytes()
-                == two_step_requantize(acc, mantissa, shift, out).tobytes())
+        assert (requantize_prepared(acc, mantissa, shift, out,
+                                    relu=relu).tobytes()
+                == expected_codes(acc, mantissa, shift, out,
+                                  relu).tobytes())
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("negative", [False, True])
@@ -258,9 +280,11 @@ class TestRequantizeOneRounding:
         out = QuantParams(scale=0.05, zero_point=128)
         for acc, mantissa in pairs:
             arr = np.array([acc], dtype=np.int32)
-            assert (requantize_prepared(arr, mantissa, shift, out).tobytes()
-                    == two_step_requantize(arr, mantissa, shift,
-                                           out).tobytes()), (acc, mantissa)
+            for relu in (False, True):
+                assert (requantize_prepared(arr, mantissa, shift, out,
+                                            relu=relu).tobytes()
+                        == expected_codes(arr, mantissa, shift, out,
+                                          relu).tobytes()), (acc, mantissa)
 
     def test_saturating_positive_does_not_wrap(self):
         """Regression: a high-mul result near INT32_MAX plus the zero
