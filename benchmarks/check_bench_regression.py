@@ -9,21 +9,15 @@ Usage::
 Compares the committed wall-clock baseline (``BENCH_e2e.json``)
 against a freshly generated run and exits non-zero when:
 
-* warm functional time (``summary.warm_total_ms``) grew by more than
-  the threshold factor -- the caches stopped paying;
-* the cold/warm speedup (``summary.speedup``) shrank by more than the
-  threshold factor -- ditto, from the other side;
+* functional (interpreter) time (``summary.functional_total_ms``)
+  grew by more than the threshold factor;
 * the serial sweep time (``sweep.serial_s``) grew by more than the
   threshold factor;
 * when both runs carry a ``compiled`` block: compiled total time
   (``compiled.summary.compiled_total_ms``) grew, or the compiled-over-
-  warm speedup (``compiled.summary.speedup``) shrank, by more than the
-  threshold factor.  Runs without the block (``--no-compiled``) skip
-  these gates with a notice.
-
-Cold absolute time is reported but not gated: it measures the uncached
-reference path, whose wall clock mostly tracks runner speed, and the
-speedup ratio already normalizes runner differences out.
+  functional speedup (``compiled.summary.speedup``) shrank, by more
+  than the threshold factor.  Runs without the block
+  (``--no-compiled``) skip these gates with a notice.
 
 With ``--serve-batch-baseline/--serve-batch-fresh`` it additionally
 gates the serving-throughput benchmark (``BENCH_serve_batch.json``):
@@ -86,18 +80,11 @@ def _peak_cells(results: dict) -> "dict[int, dict]":
 def _check_e2e(baseline: dict, fresh: dict, threshold: float) -> bool:
     """The wall-clock gates; returns True when anything regressed."""
     print(f"bench regression check (threshold {threshold:.2f}x):")
-    print(f"  cold_total_ms (informational): baseline "
-          f"{baseline['summary']['cold_total_ms']:.1f}, fresh "
-          f"{fresh['summary']['cold_total_ms']:.1f}")
     regressed = False
-    regressed |= _check("warm_total_ms",
-                        baseline["summary"]["warm_total_ms"],
-                        fresh["summary"]["warm_total_ms"],
+    regressed |= _check("functional_total_ms",
+                        baseline["summary"]["functional_total_ms"],
+                        fresh["summary"]["functional_total_ms"],
                         threshold, lower_is_better=True)
-    regressed |= _check("speedup",
-                        baseline["summary"]["speedup"],
-                        fresh["summary"]["speedup"],
-                        threshold, lower_is_better=False)
     regressed |= _check("sweep.serial_s",
                         baseline["sweep"]["serial_s"],
                         fresh["sweep"]["serial_s"],

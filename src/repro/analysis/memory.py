@@ -3,8 +3,8 @@
 Mobile SoCs hand the CPU, GPU, and NPU one shared LPDDR pool
 (:class:`~repro.soc.memory.MemorySpec`), so a plan is only runnable if
 the *sum* of everything resident at once -- weights per processor, the
-persistent packed-operand cache, live activations, and the transient
-im2col column matrices -- fits that pool.  The serving and benchmark
+compiled program's packed weight operands, live activations, and the
+transient im2col column matrices -- fits that pool.  The serving and benchmark
 harnesses currently discover oversized configurations at simulation
 time; this analyzer proves the property statically from the shapes the
 :class:`~repro.analysis.plan_verifier.PlanVerifier` already checks.
@@ -13,15 +13,16 @@ The analysis walks the graph in topological order:
 
 * every layer output is a buffer, live from its producing step to the
   step of its last consumer (outputs stay live to the end);
-* weights and the packed-operand cache are resident for the whole
+* weights and the packed operands are resident for the whole
   execution, attributed per processor via the plan's channel shares
   and the policy's per-processor storage/compute dtypes;
 * conv/depthwise layers additionally hold transient kernel buffers
-  during their own step: the im2col column matrix (the functional
-  executor's per-inference column cache), or -- for an integer
-  depthwise part, which builds no columns -- the padded int32 input,
-  the int32 accumulator and tap product, and the int64 requantize
-  scratch of :func:`~repro.kernels.depthwise_conv_quint8`;
+  during their own step, as the compiled program builds them: the
+  im2col column matrices of :func:`_conv_column_itemsize`, the f32
+  columns of a float depthwise part, or -- for an integer depthwise
+  part, which builds no columns -- the padded int32 input, the int32
+  accumulator and tap product, and the int64 requantize scratch of
+  :func:`~repro.kernels.depthwise_conv_quint8`;
 * everything activation-shaped scales with the batch; weights do not.
 
 The same liveness intervals drive :func:`build_arena`: a first-fit
@@ -53,6 +54,29 @@ _TRANSIENT_KINDS = (LayerKind.CONV, LayerKind.DEPTHWISE_CONV)
 #: element.
 _DW_INT_PADDED_ITEMSIZE = 4
 _DW_INT_OUTPUT_ITEMSIZE = 4 + 4 + 8
+
+#: Bytes per element of a float32 column matrix; every float pipeline
+#: lowers to f32 columns (F16 ones hold f32 images of f16 values).
+_F32_ITEMSIZE = 4
+
+
+def _conv_column_itemsize(storage: DType, computes: "set[DType]") -> int:
+    """Bytes per im2col element one conv step holds at once.
+
+    Follows the compiler's ``_gemm_lhs`` and the GEMM kernels.  Under
+    QUInt8 storage the step keeps the uint8 code columns (1 B), plus
+    their f32 dequantized image when any part computes in float (4 B,
+    shared by every float part), plus the f32 widening
+    :func:`~repro.kernels.qgemm_fused` makes of the codes when any part
+    is integer (4 B) -- so 5 B for an integer or a float part alone and
+    9 B for a cooperative integer + F16 layer.  Under float storage
+    each compute dtype gets its own f32 column matrix.
+    """
+    if storage is DType.QUINT8:
+        floats = any(c is not DType.QUINT8 for c in computes)
+        ints = DType.QUINT8 in computes
+        return 1 + _F32_ITEMSIZE * (floats + ints)
+    return _F32_ITEMSIZE * len({c is DType.F16 for c in computes})
 
 
 def _mb(nbytes: float) -> str:
@@ -263,12 +287,12 @@ class FootprintSummary:
         graph_name / soc / batch: the configuration analyzed.
         weight_bytes: resident filter/bias storage summed over
             processors (per-processor storage dtypes applied).
-        packed_bytes: persistent packed-operand cache (weights
+        packed_bytes: persistent packed weight operands (weights
             re-packed in each processor's compute dtype).
         activation_peak_bytes: largest live activation set over steps.
         transient_peak_bytes: largest single step's transient kernel
             buffers (im2col columns or integer depthwise scratch).
-        peak_bytes: weights + packed cache + the worst step's live
+        peak_bytes: weights + packed operands + the worst step's live
             activations and transients -- the number checked against
             capacity.
         peak_step: name of the layer at which the peak occurs.
@@ -318,8 +342,8 @@ class MemoryFootprintAnalyzer:
         high_watermark: fraction of capacity above which MF003 warns.
         im2col_fraction: fraction of capacity one layer's transient
             kernel buffers may occupy before MF004 warns.
-        packed_fraction: fraction of capacity the persistent packed-
-            operand cache may occupy before MF005 warns.
+        packed_fraction: fraction of capacity the persistent packed
+            weight operands may occupy before MF005 warns.
     """
 
     def __init__(self, soc: SoCSpec, high_watermark: float = 0.75,
@@ -391,9 +415,10 @@ class MemoryFootprintAnalyzer:
                          name: str, batch: int) -> int:
         """Transient kernel bytes of one conv-shaped layer's step.
 
-        The largest charge over the layer's pipelines, each taken over
-        the whole layer: an im2col column matrix in the compute dtype,
-        or the integer depthwise kernel's int32/int64 buffers.
+        A conv step's column matrices are shared by its parts (see
+        :func:`_conv_column_itemsize`).  A depthwise step is charged the
+        largest of its parts, each taken over the whole layer: f32
+        columns, or the integer kernel's int32/int64 buffers.
         """
         layer = graph.layer(name)
         if layer.kind not in _TRANSIENT_KINDS:
@@ -408,11 +433,14 @@ class MemoryFootprintAnalyzer:
             channels = int(getattr(layer, "channels"))
         columns = channels * kernel * kernel * out_hw * batch
         policy = plan.policy
+        computes = {policy.compute_dtype(resource)
+                    for resource in self._shares_of(plan, graph, name)}
+        if layer.kind is LayerKind.CONV:
+            return columns * _conv_column_itemsize(
+                policy.activation_storage, computes)
         charges = []
-        for resource in self._shares_of(plan, graph, name):
-            compute = policy.compute_dtype(resource)
-            if (layer.kind is LayerKind.DEPTHWISE_CONV
-                    and policy.activation_storage is DType.QUINT8
+        for compute in computes:
+            if (policy.activation_storage is DType.QUINT8
                     and compute is DType.QUINT8):
                 (producer,) = graph.inputs_of(name)
                 in_shape = shapes[producer]
@@ -423,7 +451,7 @@ class MemoryFootprintAnalyzer:
                     padded * _DW_INT_PADDED_ITEMSIZE
                     + batch * channels * out_hw * _DW_INT_OUTPUT_ITEMSIZE)
             else:
-                charges.append(columns * compute.itemsize)
+                charges.append(columns * _F32_ITEMSIZE)
         return max(charges)
 
     # -- the analysis --------------------------------------------------------
@@ -521,9 +549,9 @@ class MemoryFootprintAnalyzer:
         if summary.packed_bytes > self.packed_fraction * capacity:
             report.warning(
                 "MF005", locus,
-                f"persistent packed-operand cache of "
-                f"{_mb(summary.packed_bytes)} occupies more than "
-                f"{self.packed_fraction:.0%} of DRAM; bound the cache "
-                "or disable op_caches for this deployment")
+                f"persistent packed weight operands of "
+                f"{_mb(summary.packed_bytes)} occupy more than "
+                f"{self.packed_fraction:.0%} of DRAM; co-resident "
+                "models will contend for the shared memory")
         report.extend(self.arena(graph, plan, batch=chosen).validate())
         return report

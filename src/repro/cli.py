@@ -17,8 +17,8 @@ Commands:
   compiled fused path, and the sweep harness; writes
   ``BENCH_e2e.json``.
 
-``run``, ``serve``, and ``verify`` accept ``--compiled`` (run the
-compiled fused execution path / prove it consistent, rule PV012);
+``run`` and ``verify`` accept ``--compiled`` (run the compiled fused
+execution path / prove it consistent, rule PV012);
 ``bench`` times it by default (``--no-compiled`` to skip).
 ``run``, ``compare``, ``verify``, ``serve``, ``cluster``, and
 ``bench`` all accept ``--json`` for machine-readable output.
@@ -137,12 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo-factor", type=float, default=4.0,
                        help="per-model SLO as a multiple of its "
                             "unloaded uLayer latency")
-    serve.add_argument("--compiled", action="store_true",
-                       help="execute functional dispatches through "
-                            "compiled fused programs cached next to "
-                            "their plans (serve dispatches are "
-                            "timing-only, so this exercises the "
-                            "program cache plumbing)")
     serve.add_argument("--plan-cache-size", type=int, default=None,
                        metavar="N",
                        help="bound the shared plan cache to N entries "
@@ -332,8 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'*_mini' or 'vgg*' (default: the mini "
                             "zoo)")
     bench.add_argument("--repeats", type=int, default=3,
-                       help="warm inferences measured per model "
-                            "(default 3)")
+                       help="inferences measured per model and "
+                            "policy (default 3)")
     bench.add_argument("--jobs", type=int,
                        default=default_cli_jobs(), metavar="N",
                        help="process count for the verify-sweep "
@@ -347,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--compiled", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="benchmark the compiled fused execution "
-                            "path against the warm functional path "
+                            "path against the functional path "
                             "and emit the 'compiled' block (default "
                             "on; --no-compiled skips it)")
     bench.add_argument("--serve-batch", action="store_true",
@@ -402,8 +396,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     graph = build_model(args.model, with_weights=args.compiled)
     compiled_info: Optional[Dict[str, object]] = None
     if args.mechanism == "mulayer":
-        runtime = MuLayer(soc, use_oracle_costs=args.oracle,
-                          compiled=args.compiled)
+        runtime = MuLayer(soc, use_oracle_costs=args.oracle)
         if args.compiled:
             result, compiled_info = _run_compiled(runtime, graph)
         else:
@@ -477,8 +470,8 @@ def _run_compiled(runtime: MuLayer, graph
         np.float32)
     calibration = calibrate_graph(graph, [x])
     result = runtime.run(graph, x, calibration=calibration)
-    reference = runtime.run(graph, x, calibration=calibration,
-                            compiled=False)
+    reference = runtime.executor.run(graph, runtime.plan(graph), x,
+                                     calibration)
     program = runtime.program(graph, calibration=calibration)
     identical = all(
         result.outputs[name].data.tobytes()
@@ -649,8 +642,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               else list(MINI_MODELS))
     plan_cache = (PlanCache(max_entries=args.plan_cache_size)
                   if args.plan_cache_size is not None else None)
-    fleet = Fleet.build(soc_names, args.devices, plan_cache=plan_cache,
-                        compiled=args.compiled)
+    fleet = Fleet.build(soc_names, args.devices, plan_cache=plan_cache)
     batch_timeout_s = (args.batch_timeout_ms / 1e3
                        if args.batch_timeout_ms is not None else None)
     scheduler = make_scheduler(args.scheduler, max_batch=args.max_batch,
@@ -658,8 +650,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     max_batch = getattr(scheduler, "max_batch", 1)
     if args.jobs is not None:
         fleet.warm_plans(models, jobs=args.jobs,
-                         batches=tuple(range(1, max_batch + 1)),
-                         programs=args.compiled)
+                         batches=tuple(range(1, max_batch + 1)))
     slos = default_slos(fleet, models, slo_factor=args.slo_factor)
     capacity = fleet.capacity_rps(models)
     if args.load is not None:

@@ -240,9 +240,8 @@ class _Lowering:
 
         Under QUInt8 storage every variant derives from one uint8 code
         column matrix, built once per call -- the float pipelines map
-        it through a 256-entry dequantization table, exactly as the
-        functional column cache shares it between a cooperative layer's
-        integer and F16 placements.
+        it through a 256-entry dequantization table, bit-identical to
+        the interpreter's per-placement gather and dequantize.
         """
         geometry = ((layer.kernel, layer.stride, layer.padding)
                     if isinstance(layer, Conv2D) else None)

@@ -10,22 +10,24 @@ order, each carrying
   dtype -- which the ``PV012`` rule of the
   :class:`~repro.analysis.plan_verifier.PlanVerifier` checks against
   the plan; and
-* a **bound kernel closure** over pre-packed operands (int32-widened
-  weights, folded bias/zero-point rows, pre-decomposed requantization
-  multipliers, dequantization tables), so running a step is a single
-  fused kernel call with no graph, plan, cache, or qparams lookups.
+* a **bound kernel closure** over pre-packed operands (centred f32
+  weight blocks, folded bias/zero-point rows, pre-decomposed
+  requantization multipliers, dequantization tables), so running a
+  step is a single fused kernel call with no graph, plan, or qparams
+  lookups.
 
-Running a program is byte-identical to running the functional
-:class:`~repro.runtime.executor.Executor` over the same plan -- that
-is the compiled path's acceptance bar, enforced by
-``tests/test_compiled_identity.py`` the same way the operand caches
-are held to ``tests/test_op_caches.py``.
+Programs are the one fast numeric path: :class:`~repro.runtime.
+mulayer.MuLayer` runs every functional inference through one.  Running
+a program is byte-identical to running the per-layer interpreter (the
+:class:`~repro.runtime.executor.Executor` with no program) over the
+same plan -- that is the compiled path's acceptance bar, enforced by
+``tests/test_compiled_identity.py`` and ``tests/test_op_caches.py``.
 
 Two run modes:
 
 * ``keep="all"`` returns every layer's output as a fresh tensor --
   the :class:`~repro.runtime.executor.Executor` parity mode, used by
-  the identity tests and by ``Executor.run(..., compiled=True)``
+  the identity tests and by ``Executor.run(..., program=...)``
   (whose result contract includes all layer outputs);
 * ``keep="outputs"`` routes every activation through the pre-planned
   byte arena (:func:`~repro.analysis.memory.plan_arena`) and returns
@@ -39,8 +41,7 @@ Two run modes:
 Programs are immutable with respect to the graph: every weight and
 bias array is captured by reference at compile time, and
 :meth:`CompiledProgram.is_stale` reports identity mismatches so a
-``set_weights`` after surgery/QAT invalidates the program exactly like
-it invalidates the packed-operand caches.
+``set_weights`` after surgery/QAT invalidates the program.
 """
 
 from __future__ import annotations
@@ -158,11 +159,9 @@ class CompiledProgram:
         """True when the program no longer matches ``graph``.
 
         A program is bound to the exact graph object and to the exact
-        weight/bias arrays it packed -- the same identity discipline
-        the :class:`~repro.kernels.op_cache.OperandCache` uses -- so
-        ``set_weights`` (installing new arrays) makes it stale.
-        In-place mutation of the same arrays is invisible here, as it
-        is to the operand caches.
+        weight/bias arrays it packed, so ``set_weights`` (installing
+        new arrays) makes it stale.  In-place mutation of the same
+        arrays is invisible here: recompile after it.
         """
         if graph is not self._graph:
             return True

@@ -1,18 +1,15 @@
 """Wall-clock benchmark of functional execution and the sweep harness.
 
-Measures what the operand caches and the process-pool harness actually
-buy, in seconds, and emits the numbers as ``BENCH_e2e.json`` so the
-perf trajectory is tracked across PRs:
+Measures the two numeric paths and the process-pool harness in
+seconds, and emits the numbers as ``BENCH_e2e.json`` so the perf
+trajectory is tracked across PRs:
 
-* **functional** -- end-to-end functional inference per mini-zoo model
-  and policy, *cold* (a fresh uncached :class:`LayerComputer` per
-  inference -- the pre-cache behaviour) versus *warm* (one persistent
-  computer whose packed-operand caches carry across inferences, with
-  cooperative layers sharing im2col columns).  Outputs are checked
-  byte-identical while timing.
+* **functional** -- end-to-end inference through the per-layer
+  interpreter (a fresh :class:`LayerComputer` per inference, as
+  ``Executor.run`` builds one) per mini-zoo model and policy.
 * **compiled** -- the compiled fused path (``repro.compile``) against
-  the warm functional path on every mini-model cell, on the matched
-  0.5-split plan, byte-identity asserted before and after timing.
+  the functional path on every cell, on the matched 0.5-split plan,
+  byte-identity asserted before and after timing.
 * **sweep** -- the static verification sweep over the mini zoo, serial
   versus ``jobs`` processes.
 
@@ -50,21 +47,13 @@ BENCH_POLICIES: Dict[str, QuantizationPolicy] = {
     "f32": UNIFORM_F32,
 }
 
-#: Weight-heavy full models added to the default grid under the
-#: quantized policies, where re-packing weights per inference (the
-#: cold path) dominates.  Timed with a single repeat -- AlexNet's cold
-#: leg re-quantizes and re-widens ~61M weights per inference.
-_FULL_MODELS: Dict[str, "tuple[str, ...]"] = {
-    "alexnet": ("pfq", "quint8"),
-}
 
-
-def _run_functional(graph: Graph, computer: LayerComputer,
-                    x: np.ndarray) -> Tensor:
+def _run_functional(graph: Graph, calibration: CalibrationTable,
+                    policy: QuantizationPolicy, x: np.ndarray) -> Tensor:
     """One cooperative functional inference (0.5 CPU/GPU split on every
     splittable layer -- the configuration that exercises both PFQ
-    pipelines and column sharing)."""
-    computer.begin_inference()
+    pipelines) on a fresh computer."""
+    computer = LayerComputer(graph, policy, calibration)
     input_name = graph.input_layers()[0]
     values = {input_name: computer.input_tensor(input_name, x)}
     for name in graph.compute_layers():
@@ -74,52 +63,6 @@ def _run_functional(graph: Graph, computer: LayerComputer,
         else:
             values[name] = computer.run_full(name, inputs, "cpu")
     return values[graph.output_layers()[0]]
-
-
-def _bench_model_policy(graph: Graph, calibration: CalibrationTable,
-                        policy: QuantizationPolicy, x: np.ndarray,
-                        repeats: int) -> Dict[str, float]:
-    """Cold-vs-warm timing of one (model, policy) cell.
-
-    Every leg is timed per iteration and reported as the *minimum*
-    over ``repeats``: on a shared/noisy machine the min is the only
-    robust estimator of the code's actual cost (means fold scheduler
-    preemptions into the slower leg at random, which is how warm runs
-    used to come out "slower" than cold ones on the tiny mini-model
-    cells).
-    """
-    # Cold: the pre-cache behaviour -- a fresh computer per inference,
-    # no caches, so weights re-quantize and operands re-pack each time;
-    # computer construction is part of the timed region.
-    def cold_inference() -> Tensor:
-        cold_computer = LayerComputer(graph, policy, calibration,
-                                      enable_caches=False)
-        return _run_functional(graph, cold_computer, x)
-
-    cold_ms, reference = min_time_ms(cold_inference, repeats)
-
-    # Warm: one persistent cached computer; the first inference fills
-    # the packed-operand caches and is not timed.
-    computer = LayerComputer(graph, policy, calibration,
-                             enable_caches=True)
-    warmup = _run_functional(graph, computer, x)
-    if warmup.data.tobytes() != reference.data.tobytes():
-        raise AssertionError(
-            "cached execution diverged from uncached output")
-    warm_ms, out = min_time_ms(
-        lambda: _run_functional(graph, computer, x), repeats)
-    if out.data.tobytes() != reference.data.tobytes():
-        raise AssertionError(
-            "warm cached execution diverged from uncached output")
-
-    stats = computer.cache_stats()
-    return {
-        "cold_ms": cold_ms,
-        "warm_ms": warm_ms,
-        "speedup": cold_ms / warm_ms if warm_ms > 0 else float("inf"),
-        "im2col_hit_rate": stats["im2col"]["hit_rate"],
-        "packed_hit_rate": stats["packed"]["hit_rate"],
-    }
 
 
 def _matched_split_plan(graph: Graph,
@@ -145,20 +88,17 @@ def _matched_split_plan(graph: Graph,
 
 def _bench_compiled(graph: Graph, calibration: CalibrationTable,
                     policy: QuantizationPolicy, x: np.ndarray,
-                    repeats: int, warm_ms: float) -> Dict[str, float]:
+                    repeats: int, reference: Tensor,
+                    functional_ms: float) -> Dict[str, float]:
     """Compiled-vs-functional timing of one (model, policy) cell.
 
     Lowers the matched 0.5-split plan, asserts the program's output is
-    byte-identical to the warm functional path, and times steady-state
-    arena runs (min over ``repeats``, like the functional legs).
-    ``warm_ms`` is the cell's warm functional time, the denominator
-    the compiled speedup is quoted against.
+    byte-identical to the interpreter's ``reference`` output, and times
+    steady-state arena runs (min over ``repeats``, like the functional
+    leg).  ``functional_ms`` is the cell's interpreter time, the
+    denominator the compiled speedup is quoted against.
     """
     from ..compile import compile_program
-
-    computer = LayerComputer(graph, policy, calibration,
-                             enable_caches=True)
-    reference = _run_functional(graph, computer, x)
 
     plan = _matched_split_plan(graph, policy)
     compile_ms, program = min_time_ms(
@@ -177,9 +117,9 @@ def _bench_compiled(graph: Graph, calibration: CalibrationTable,
             "functional output")
     return {
         "compile_ms": compile_ms,
-        "warm_ms": warm_ms,
+        "functional_ms": functional_ms,
         "compiled_ms": compiled_ms,
-        "speedup": (warm_ms / compiled_ms if compiled_ms > 0
+        "speedup": (functional_ms / compiled_ms if compiled_ms > 0
                     else float("inf")),
         "arena_bytes": float(program.arena.arena_bytes),
     }
@@ -198,63 +138,43 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
             the parallel leg (the serial leg always runs).
         policies: policy names from :data:`BENCH_POLICIES` (default:
             all four).
-        compiled: also time the compiled fused path against the warm
-            functional path on every mini-model cell, asserting
-            byte-identity (the ``compiled`` block of the output).
+        compiled: also time the compiled fused path against the
+            functional path on every cell, asserting byte-identity
+            (the ``compiled`` block of the output).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if models is not None:
-        chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
-        grid = [(model, chosen, repeats) for model in models]
-    else:
-        # The default grid: every mini across every policy, plus the
-        # weight-heavy full models under their quantized policies.
-        chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
-        grid = [(model, chosen, repeats) for model in MINI_MODELS]
-        for model, quant_policies in _FULL_MODELS.items():
-            selected = tuple(p for p in quant_policies
-                             if policies is None or p in policies)
-            if selected:
-                grid.append((model, selected, 1))
+    chosen_models = tuple(models) if models is not None else MINI_MODELS
+    chosen = tuple(policies) if policies else tuple(BENCH_POLICIES)
     rng = np.random.default_rng(0)
 
     functional: Dict[str, Dict[str, float]] = {}
     compiled_cells: Dict[str, Dict[str, float]] = {}
-    cold_total = warm_total = 0.0
-    compiled_warm_total = compiled_total = 0.0
-    sweep_models: List[str] = []
-    for model, model_policies, model_repeats in grid:
-        sweep_models.append(model)
+    functional_total = compiled_total = 0.0
+    for model in chosen_models:
         graph = build_model(model, with_weights=True)
         shape = graph.infer_shapes()[graph.input_layers()[0]]
         x = rng.standard_normal(shape).astype(np.float32)
         calibration = calibrate_graph(graph, [x])
-        for policy_name in model_policies:
+        for policy_name in chosen:
+            policy = BENCH_POLICIES[policy_name]
             # Mini cells run in single-digit milliseconds, where a
             # min over 3 samples still flakes on a loaded shared
             # runner; a floor of 7 stabilizes the minimum without
-            # touching the full models (whose single repeat is the
-            # expensive leg) or the compiled leg.
-            cell = _bench_model_policy(
-                graph, calibration, BENCH_POLICIES[policy_name], x,
-                max(model_repeats, 7) if model in MINI_MODELS
-                else model_repeats)
-            functional[f"{model}/{policy_name}"] = cell
-            cold_total += cell["cold_ms"]
-            warm_total += cell["warm_ms"]
-            # Compiled leg only on the minis: compiling a full model
-            # re-packs its tens of millions of weights, which belongs
-            # to compile time, not to this smoke-sized benchmark.
-            if compiled and model in MINI_MODELS:
-                ccell = _bench_compiled(
-                    graph, calibration, BENCH_POLICIES[policy_name], x,
-                    model_repeats, cell["warm_ms"])
+            # touching the full models or the compiled leg.
+            functional_ms, reference = min_time_ms(
+                lambda: _run_functional(graph, calibration, policy, x),
+                max(repeats, 7) if model in MINI_MODELS else repeats)
+            functional[f"{model}/{policy_name}"] = {
+                "functional_ms": functional_ms}
+            functional_total += functional_ms
+            if compiled:
+                ccell = _bench_compiled(graph, calibration, policy, x,
+                                        repeats, reference,
+                                        functional_ms)
                 compiled_cells[f"{model}/{policy_name}"] = ccell
-                compiled_warm_total += ccell["warm_ms"]
                 compiled_total += ccell["compiled_ms"]
 
-    chosen_models = tuple(sweep_models)
     sweep: Dict[str, float] = {}
     from ..analysis.verify import verify_sweep
     t0 = time.perf_counter()
@@ -275,21 +195,15 @@ def run_bench(models: Optional[Sequence[str]] = None, repeats: int = 3,
         "schema": 1,
         "repeats": repeats,
         "functional": functional,
-        "summary": {
-            "cold_total_ms": cold_total,
-            "warm_total_ms": warm_total,
-            "speedup": (cold_total / warm_total if warm_total > 0
-                        else float("inf")),
-        },
+        "summary": {"functional_total_ms": functional_total},
         "sweep": sweep,
     }
     if compiled_cells:
         results["compiled"] = {
             "cells": compiled_cells,
             "summary": {
-                "warm_total_ms": compiled_warm_total,
                 "compiled_total_ms": compiled_total,
-                "speedup": (compiled_warm_total / compiled_total
+                "speedup": (functional_total / compiled_total
                             if compiled_total > 0 else float("inf")),
             },
         }
@@ -537,30 +451,25 @@ def render_bench(results: Dict) -> str:
     rows: List[List] = []
     for cell_name in sorted(results["functional"]):
         cell = results["functional"][cell_name]
-        rows.append([cell_name, cell["cold_ms"], cell["warm_ms"],
-                     cell["speedup"], cell["im2col_hit_rate"],
-                     cell["packed_hit_rate"]])
-    text = format_table(
-        ["model/policy", "cold_ms", "warm_ms", "speedup",
-         "im2col_hits", "packed_hits"],
-        rows, title="functional inference, cold vs warm caches")
+        rows.append([cell_name, cell["functional_ms"]])
+    text = format_table(["model/policy", "functional_ms"], rows,
+                        title="functional inference (interpreter)")
     summary = results["summary"]
-    text += (f"\n\ntotal: cold {summary['cold_total_ms']:.1f} ms, "
-             f"warm {summary['warm_total_ms']:.1f} ms, "
-             f"speedup {summary['speedup']:.2f}x")
+    text += (f"\n\ntotal: functional "
+             f"{summary['functional_total_ms']:.1f} ms")
     compiled = results.get("compiled")
     if compiled:
-        rows = [[cell_name, cell["compile_ms"], cell["warm_ms"],
+        rows = [[cell_name, cell["compile_ms"], cell["functional_ms"],
                  cell["compiled_ms"], cell["speedup"]]
                 for cell_name in sorted(compiled["cells"])
                 for cell in [compiled["cells"][cell_name]]]
         text += "\n\n" + format_table(
-            ["model/policy", "compile_ms", "warm_ms", "compiled_ms",
-             "speedup"],
-            rows, title="compiled fused path vs warm functional")
+            ["model/policy", "compile_ms", "functional_ms",
+             "compiled_ms", "speedup"],
+            rows, title="compiled fused path vs functional")
         csummary = compiled["summary"]
-        text += (f"\n\ncompiled total: functional warm "
-                 f"{csummary['warm_total_ms']:.1f} ms, compiled "
+        text += (f"\n\ncompiled total: functional "
+                 f"{summary['functional_total_ms']:.1f} ms, compiled "
                  f"{csummary['compiled_total_ms']:.1f} ms, speedup "
                  f"{csummary['speedup']:.2f}x")
     sweep = results.get("sweep", {})

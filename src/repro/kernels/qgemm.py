@@ -32,9 +32,7 @@ from ..tensor import QuantParams
 
 def qgemm_accumulate(lhs_q: np.ndarray, lhs_zero: int, rhs_q: np.ndarray,
                      rhs_zero: int,
-                     bias_i32: "np.ndarray | None" = None,
-                     rhs_i32: "np.ndarray | None" = None,
-                     rhs_sums: "np.ndarray | None" = None) -> np.ndarray:
+                     bias_i32: "np.ndarray | None" = None) -> np.ndarray:
     """Integer accumulator of a quantized GEMM.
 
     Args:
@@ -44,13 +42,6 @@ def qgemm_accumulate(lhs_q: np.ndarray, lhs_zero: int, rhs_q: np.ndarray,
         rhs_zero: weight zero point.
         bias_i32: optional (n,) int32 bias already scaled to
             ``lhs_scale * rhs_scale`` units.
-        rhs_i32: optional pre-widened ``rhs_q.astype(int32)`` -- weights
-            are static across inferences, so callers may pack them once
-            and skip the per-call widening.
-        rhs_sums: optional pre-computed (1, n) weight-side column sums
-            (``rhs_q.sum(axis=0)``), the ``zl * sum_k qr`` term of the
-            affine decomposition; like ``rhs_i32`` it depends only on
-            the weights.
 
     Returns:
         (m, n) int32 accumulators representing
@@ -66,15 +57,10 @@ def qgemm_accumulate(lhs_q: np.ndarray, lhs_zero: int, rhs_q: np.ndarray,
         raise ShapeError(
             f"qgemm inner dimensions differ: {lhs_q.shape} @ {rhs_q.shape}")
     depth = lhs_q.shape[-1]
-    if rhs_i32 is None:
-        rhs_i32 = rhs_q.astype(np.int32)
-    elif rhs_i32.shape != rhs_q.shape:
-        raise ShapeError(
-            f"rhs_i32 shape {rhs_i32.shape} != rhs shape {rhs_q.shape}")
+    rhs_i32 = rhs_q.astype(np.int32)
     raw = lhs_q.astype(np.int32) @ rhs_i32
     lhs_sums = lhs_q.astype(np.int32).sum(axis=-1, keepdims=True)  # (m, 1)
-    if rhs_sums is None:
-        rhs_sums = rhs_q.astype(np.int32).sum(axis=0, keepdims=True)
+    rhs_sums = rhs_i32.sum(axis=0, keepdims=True)
     acc = (raw
            - np.int32(lhs_zero) * rhs_sums
            - np.int32(rhs_zero) * lhs_sums
@@ -185,8 +171,6 @@ def qgemm(lhs_q: np.ndarray, lhs_params: QuantParams, rhs_q: np.ndarray,
           rhs_params: QuantParams, output_params: QuantParams,
           bias: "np.ndarray | None" = None,
           relu: bool = False,
-          rhs_i32: "np.ndarray | None" = None,
-          rhs_sums: "np.ndarray | None" = None,
           bias_i32: "np.ndarray | None" = None) -> np.ndarray:
     """Full quantized GEMM: accumulate, add bias, requantize to uint8.
 
@@ -197,8 +181,6 @@ def qgemm(lhs_q: np.ndarray, lhs_params: QuantParams, rhs_q: np.ndarray,
         bias: optional float bias (folded in integer domain).
         relu: fuse a ReLU by clamping the output at the code that
             represents real zero (gemmlowp's fused activation).
-        rhs_i32 / rhs_sums: optional pre-packed weight-side operands
-            (see :func:`qgemm_accumulate`).
         bias_i32: optional pre-quantized bias in accumulator units;
             takes precedence over ``bias``.
 
@@ -208,8 +190,7 @@ def qgemm(lhs_q: np.ndarray, lhs_params: QuantParams, rhs_q: np.ndarray,
     if bias_i32 is None and bias is not None:
         bias_i32 = quantize_bias(bias, lhs_params.scale, rhs_params.scale)
     acc = qgemm_accumulate(lhs_q, lhs_params.zero_point, rhs_q,
-                           rhs_params.zero_point, bias_i32,
-                           rhs_i32=rhs_i32, rhs_sums=rhs_sums)
+                           rhs_params.zero_point, bias_i32)
     out = requantize(acc, lhs_params.scale, rhs_params.scale, output_params)
     if relu:
         out = np.maximum(out, np.uint8(output_params.zero_point))

@@ -26,16 +26,17 @@ hardware -- so a request's numbers never depend on what it was batched
 with (numpy's BLAS would otherwise leak the batch shape into float
 results through its blocking heuristics).
 
-``run(..., compiled=True)`` swaps the per-layer functional
-interpretation for a :class:`~repro.compile.program.CompiledProgram`
--- plans are lowered once (memoized alongside the LayerComputer memo)
-into flat fused-kernel schedules whose outputs are byte-identical to
-the interpreted path; the timing side is unchanged.
+``run(..., program=...)`` swaps the per-layer functional
+interpretation for a :class:`~repro.compile.program.CompiledProgram`,
+the flat fused-kernel schedule the caller compiled (and cached, as
+:class:`~repro.runtime.mulayer.MuLayer` does in its plan cache); its
+outputs are byte-identical to the interpreted path and the timing side
+is unchanged.  Without a program each functional run builds one fresh
+:class:`LayerComputer`, the uncached reference path.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -72,16 +73,11 @@ class Executor:
             :class:`~repro.errors.VerificationError`; the full report
             (including warnings) is attached to the result's
             ``diagnostics`` field.
-        op_caches: reuse one :class:`LayerComputer` (and therefore its
-            packed-operand caches) across runs of the same
-            (graph, policy, calibration) -- True, the default.  False
-            restores the pre-cache behaviour of building a fresh
-            computer per run; outputs are byte-identical either way.
+        op_caches: accepted and ignored; the interpreter keeps no
+            operand caches, so every functional run builds a fresh
+            :class:`LayerComputer`.  Kept because ``perfbench`` passes
+            it.
     """
-
-    #: How many distinct (graph, policy, calibration) computers an
-    #: executor keeps warm; oldest is dropped beyond that.
-    _COMPUTER_MEMO_ENTRIES = 8
 
     #: Compiled programs run on the calling thread, one step after
     #: another (``CompiledProgram.run``); kept as a constant because
@@ -95,67 +91,12 @@ class Executor:
         self.zero_copy = zero_copy
         self.async_issue = async_issue
         self.verify = verify
-        self.op_caches = op_caches
-        self._computers: "OrderedDict[Tuple[int, QuantizationPolicy, int], LayerComputer]" = OrderedDict()
-        # Compiled programs, memoized with the same identity discipline
-        # (and re-validated against weight-array identity on reuse).
-        self._programs: ("OrderedDict[Tuple[int, int, int, int], "
-                         "object]") = OrderedDict()
-
-    def _computer_for(self, graph: Graph, policy,
-                      calibration: Optional[CalibrationTable]
-                      ) -> LayerComputer:
-        """A LayerComputer for this run, memoized by object identity of
-        graph and calibration (policies compare by value) so packed
-        weight operands persist across inferences."""
-        if not self.op_caches:
-            return LayerComputer(graph, policy, calibration,
-                                 enable_caches=False)
-        key = (id(graph), policy, id(calibration))
-        computer = self._computers.get(key)
-        # Identity check via the stored references guards against id()
-        # recycling of dead objects.
-        if (computer is None or computer._graph is not graph
-                or computer._calibration is not calibration):
-            computer = LayerComputer(graph, policy, calibration)
-            self._computers[key] = computer
-        self._computers.move_to_end(key)
-        while len(self._computers) > self._COMPUTER_MEMO_ENTRIES:
-            self._computers.popitem(last=False)
-        return computer
-
-    def program_for(self, graph: Graph, plan: ExecutionPlan,
-                    calibration: Optional[CalibrationTable],
-                    batch: int, mechanism: str = "custom"):
-        """The compiled program of (graph, plan, calibration, batch).
-
-        Memoized by object identity like :meth:`_computer_for`, and
-        identity-revalidated on every reuse: replacing a layer's
-        weight arrays (``set_weights``) or passing a different plan
-        object triggers recompilation, never a stale program.
-        """
-        # Imported lazily: repro.compile imports the analysis package,
-        # which imports this one.
-        from ..compile import compile_program
-        key = (id(graph), id(plan), id(calibration), batch)
-        program = self._programs.get(key)
-        if (program is None or program.plan is not plan
-                or not program.matches(graph, calibration)):
-            program = compile_program(graph, plan,
-                                      calibration=calibration,
-                                      batch=batch, mechanism=mechanism)
-            self._programs[key] = program
-        self._programs.move_to_end(key)
-        while len(self._programs) > self._COMPUTER_MEMO_ENTRIES:
-            self._programs.popitem(last=False)
-        return program
 
     def run(self, graph: Graph, plan: ExecutionPlan,
             x: Optional[np.ndarray] = None,
             calibration: Optional[CalibrationTable] = None,
             mechanism: str = "custom",
             batch: Optional[int] = None,
-            compiled: bool = False,
             program=None) -> InferenceResult:
         """Execute ``graph`` according to ``plan``.
 
@@ -171,16 +112,12 @@ class Executor:
                 the plan's batch.  A plan built for batch B > 1 only
                 runs at batch B; a batch-1 plan runs at any batch (its
                 splits are then reused, only the timing scales).
-            compiled: compute the functional outputs through the
-                compiled fused program instead of the per-layer
-                interpreter (byte-identical results; timing is
-                unaffected).  Ignored for timing-only runs.
-            program: a pre-compiled
-                :class:`~repro.compile.program.CompiledProgram` to run
-                (implies ``compiled=True``); must match the graph,
-                calibration, and batch.  When omitted, the executor
-                compiles and memoizes one per (graph, plan,
-                calibration, batch).
+            program: a compiled
+                :class:`~repro.compile.program.CompiledProgram` that
+                computes the functional outputs in place of the
+                per-layer interpreter (byte-identical results; timing
+                is unaffected); must match the graph, calibration, and
+                batch.  Ignored for timing-only runs.
 
         Returns:
             The inference result with latency, energy, traces, and
@@ -188,14 +125,11 @@ class Executor:
         """
         plan.validate(graph)
         batch = self._resolve_batch(plan, x, batch)
-        compiled = (compiled or program is not None) and x is not None
+        compiled = program is not None and x is not None
         report = (self._verify_static(graph, plan, calibration)
                   if self.verify else None)
         if compiled:
-            if program is None:
-                program = self.program_for(graph, plan, calibration,
-                                           batch, mechanism=mechanism)
-            elif program.batch != batch:
+            if program.batch != batch:
                 raise PlanError(
                     f"program was compiled for batch {program.batch} "
                     f"but the run uses batch {batch}")
@@ -297,9 +231,8 @@ class _RunState:
         self.sample_values: List[Dict[str, Tensor]] = []
         self.sample_inputs: List[np.ndarray] = []
         if x is not None:
-            self.computer = executor._computer_for(graph, plan.policy,
-                                                   calibration)
-            self.computer.begin_inference()
+            self.computer = LayerComputer(graph, plan.policy,
+                                          calibration)
             if batch == 1:
                 self.sample_inputs = [x]
             else:

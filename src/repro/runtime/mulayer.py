@@ -6,6 +6,12 @@ Wires the three components of Figure 13 together: the **NN partitioner**
 reproduce the paper's ablation (Figure 17): channel-wise workload
 distribution, processor-friendly quantization, and branch distribution
 can each be enabled independently.
+
+Functional runs always compute their numbers through the compiled
+program of the plan, cached next to the plan in the
+:class:`~repro.runtime.plan_cache.PlanCache`; the per-layer interpreter
+is the reference it is tested against
+(``Executor.run(graph, plan, x, calibration)`` with no program).
 """
 
 from __future__ import annotations
@@ -44,10 +50,9 @@ class MuLayer:
             optimizations (ablations flip them off).
         verify: run the static analyzers around every execution (see
             :class:`~repro.runtime.executor.Executor`).
-        compiled: execute functional runs through the compiled fused
-            program (byte-identical outputs, lower wall clock); the
-            program is cached in the plan cache next to its plan and
-            invalidated with it.
+        compiled: accepted and ignored: functional runs always
+            execute the compiled program.  Kept because ``perfbench``
+            passes it.
         plan_cache: an externally shared
             :class:`~repro.runtime.plan_cache.PlanCache` (the serving
             fleet passes one cache to many runtimes); a private cache
@@ -71,7 +76,6 @@ class MuLayer:
                  plan_cache: Optional[PlanCache] = None) -> None:
         self.soc = soc
         self.policy = policy
-        self.compiled = compiled
         config = PartitionerConfig(
             enable_channel_distribution=enable_channel_distribution,
             enable_branch_distribution=enable_branch_distribution,
@@ -126,8 +130,7 @@ class MuLayer:
 
     def run(self, graph: Graph, x: Optional[np.ndarray] = None,
             calibration: Optional[CalibrationTable] = None,
-            batch: Optional[int] = None,
-            compiled: Optional[bool] = None) -> InferenceResult:
+            batch: Optional[int] = None) -> InferenceResult:
         """Plan (if needed) and execute one inference.
 
         Args:
@@ -138,15 +141,12 @@ class MuLayer:
                 runs under a quantized policy.
             batch: batch size to plan and time for; defaults to the
                 leading dimension of ``x`` when data is given, else 1.
-            compiled: override the runtime's ``compiled`` setting for
-                this run.
         """
         if batch is None:
             batch = int(x.shape[0]) if x is not None else 1
         plan = self.plan(graph, batch=batch)
-        use_compiled = self.compiled if compiled is None else compiled
         program = None
-        if use_compiled and x is not None:
+        if x is not None:
             program = self.program(graph, calibration=calibration,
                                    batch=batch)
         return self.executor.run(graph, plan, x=x,

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..models import build_model
 from ..nn import Graph
@@ -35,9 +34,6 @@ from ..runtime.plan_cache import PlanCache, PlanKey
 from ..soc import SoCSpec, soc_by_name
 from ..tensor import DType
 from .workload import Request
-
-if TYPE_CHECKING:   # pragma: no cover - typing only (avoids a cycle)
-    from ..quant.calibrate import CalibrationTable
 
 #: Compute dtype of each single-processor mechanism -- the fastest
 #: per-processor data type per the paper (Section 7.2, Section 8.3).
@@ -306,25 +302,18 @@ class Fleet:
         plan_cache: externally shared cache; a fresh one by default.
         memoize_results: replay the deterministic executor result per
             configuration instead of re-executing it per request.
-        compiled: request compiled (fused, arena-planned) execution
-            for functional runs.  Fleet dispatches are timing-only
-            (no input data), where compiled and functional execution
-            report identical latencies, so this is a passthrough for
-            callers that feed the fleet's executors data directly.
     """
 
     def __init__(self, socs: Sequence[SoCSpec],
                  policy: QuantizationPolicy = PROCESSOR_FRIENDLY,
                  plan_cache: Optional[PlanCache] = None,
-                 memoize_results: bool = True,
-                 compiled: bool = False) -> None:
+                 memoize_results: bool = True) -> None:
         if not socs:
             raise ValueError("a fleet needs at least one device")
         self.policy = policy
         self.plan_cache = plan_cache if plan_cache is not None else (
             PlanCache())
         self.memoize_results = memoize_results
-        self.compiled = compiled
         self._contexts: Dict[str, _SoCContext] = {}
         self.devices: List[Device] = []
         for index, soc in enumerate(socs):
@@ -344,8 +333,7 @@ class Fleet:
     def build(cls, soc_names: Sequence[str], num_devices: int,
               policy: QuantizationPolicy = PROCESSOR_FRIENDLY,
               plan_cache: Optional[PlanCache] = None,
-              memoize_results: bool = True,
-              compiled: bool = False) -> "Fleet":
+              memoize_results: bool = True) -> "Fleet":
         """A fleet of ``num_devices`` cycling through ``soc_names``."""
         if num_devices < 1:
             raise ValueError("num_devices must be >= 1")
@@ -354,7 +342,7 @@ class Fleet:
         cycle = itertools.cycle([soc_by_name(name) for name in soc_names])
         socs = [next(cycle) for _ in range(num_devices)]
         return cls(socs, policy=policy, plan_cache=plan_cache,
-                   memoize_results=memoize_results, compiled=compiled)
+                   memoize_results=memoize_results)
 
     # -- lookups -------------------------------------------------------------
 
@@ -408,8 +396,7 @@ class Fleet:
     def warm_plans(self, models: Sequence[str],
                    mechanisms: Optional[Sequence[str]] = None,
                    jobs: Optional[int] = None,
-                   batches: Sequence[int] = (1,),
-                   programs: bool = False) -> int:
+                   batches: Sequence[int] = (1,)) -> int:
         """Pre-build plans for every (model, SoC type, mechanism,
         batch).
 
@@ -425,15 +412,9 @@ class Fleet:
             batches: batch sizes to warm; a batching scheduler with
                 ``max_batch=B`` dispatches at sizes 1..B, so warm
                 ``range(1, B + 1)``.
-            programs: also compile one :class:`CompiledProgram` per
-                unique (model, SoC type, mechanism, batch), cached
-                next to its plan.  The work is keyed by SoC *type*,
-                not device, so a hundred replicas of one SoC warm
-                each configuration exactly once.
 
         Returns:
-            How many plans (plus, with ``programs``, programs) were
-            built and inserted by this call.
+            How many plans were built and inserted by this call.
         """
         from ..harness.parallel import parallel_map
 
@@ -471,72 +452,7 @@ class Fleet:
             for key, plan in parallel_map(_warm_plan_unit, work,
                                           jobs=jobs):
                 self.plan_cache.put(key, plan)
-        built = len(work)
-        if programs:
-            built += self._warm_programs(models, mechanisms, batches)
-        return built
-
-    def _warm_programs(self, models: Sequence[str],
-                       mechanisms: Optional[Sequence[str]],
-                       batches: Sequence[int]) -> int:
-        """Compile one program per unique configuration (see
-        :meth:`warm_plans`); returns how many were compiled."""
-        # Imported lazily: repro.compile imports the analysis package,
-        # which imports the runtime this module builds on.
-        from ..compile import compile_program
-        from ..nn.reference import calibrate_graph
-        import numpy as np
-
-        weighted: Dict[str, Graph] = {}
-        calibrations: Dict[Tuple[str, str], "CalibrationTable"] = {}
-        compiled = 0
-        for soc_name in sorted(self._contexts):
-            context = self._contexts[soc_name]
-            supported = context.mechanisms()
-            chosen = (supported if mechanisms is None
-                      else tuple(m for m in mechanisms
-                                 if m in supported))
-            for model in models:
-                for mechanism in chosen:
-                    for batch in batches:
-                        key = PlanKey(
-                            model=model, soc=soc_name,
-                            mechanism=mechanism,
-                            policy=context.policy_name(mechanism),
-                            batch=batch)
-                        if self.plan_cache.get_program(
-                                key, batch) is not None:
-                            continue
-                        graph = weighted.get(model)
-                        if graph is None:
-                            graph = build_model(model,
-                                                with_weights=True)
-                            weighted[model] = graph
-                        plan = self.plan_cache.get_or_build(
-                            key,
-                            lambda: context.build_plan(graph, mechanism,
-                                                       batch=batch))
-                        calibration: "Optional[CalibrationTable]" = None
-                        if plan.policy.is_quantized:
-                            cal_key = (model, plan.policy.name)
-                            calibration = calibrations.get(cal_key)
-                            if calibration is None:
-                                in_name = graph.input_layers()[0]
-                                shape = (1,) + tuple(
-                                    int(d) for d in
-                                    graph.infer_shapes()[in_name][1:])
-                                sample = np.random.default_rng(
-                                    0).standard_normal(shape).astype(
-                                        np.float32)
-                                calibration = calibrate_graph(
-                                    graph, [sample])
-                                calibrations[cal_key] = calibration
-                        program = compile_program(
-                            graph, plan, calibration=calibration,
-                            batch=batch, mechanism=mechanism)
-                        self.plan_cache.put_program(key, batch, program)
-                        compiled += 1
-        return compiled
+        return len(work)
 
     def resources_for(self, model: str, device: Device, mechanism: str,
                       batch: int = 1) -> Tuple[str, ...]:
@@ -635,7 +551,7 @@ class Fleet:
         kwargs = {"batch": batch} if batch > 1 else {}
         result = context.executor.run(
             self.graph(model), plan, mechanism=f"serve-{mechanism}",
-            compiled=self.compiled, **kwargs)
+            **kwargs)
         if self.memoize_results:
             self._results[key] = result
         return result

@@ -161,6 +161,43 @@ class TestTransients:
                                                          batch=batch)
         assert summary.transient_peak_bytes == expected
 
+    @pytest.mark.parametrize("policy_name, placement, batch, expected", [
+        # 4 channels x 9 taps x 36 output pixels = 1296 column elements
+        # per sample.  An integer part holds the uint8 codes (1 B) and
+        # qgemm_fused's f32 widening of them (4 B).
+        ("UNIFORM_QUINT8", "cpu", 1, 1296 * 5),
+        ("UNIFORM_QUINT8", "cpu", 2, 2 * 1296 * 5),
+        # An F16-over-QUInt8 part holds the codes and their f32
+        # dequantized image (4 B).
+        ("PROCESSOR_FRIENDLY", "gpu", 1, 1296 * 5),
+        # A cooperative pfq layer holds codes, the f32 image for its
+        # F16 part and the f32 widening for its integer part at once.
+        ("PROCESSOR_FRIENDLY", "split", 1, 1296 * 9),
+        # Float storage lowers to f32 columns, F16 ones included.
+        ("UNIFORM_F16", "gpu", 1, 1296 * 4),
+        ("UNIFORM_F32", "cpu", 1, 1296 * 4),
+    ])
+    def test_conv_transient_bytes(self, soc, policy_name, placement,
+                                  batch, expected):
+        from repro import runtime
+        from repro.nn import Graph
+        from repro.nn.layers import Conv2D, Input
+        from repro.runtime.plan import ExecutionPlan, LayerAssignment
+        graph = Graph("conv")
+        graph.add(Input("in", (1, 4, 6, 6)))
+        graph.add(Conv2D("conv", 4, 8, 3, padding=1), ["in"])
+        assignment = {
+            "cpu": LayerAssignment.on_cpu("conv"),
+            "gpu": LayerAssignment.on_gpu("conv"),
+            "split": LayerAssignment.cooperative("conv", 0.5),
+        }[placement]
+        plan = ExecutionPlan(graph_name="conv",
+                             policy=getattr(runtime, policy_name),
+                             assignments={"conv": assignment})
+        summary = MemoryFootprintAnalyzer(soc).footprint(graph, plan,
+                                                         batch=batch)
+        assert summary.transient_peak_bytes == expected
+
 
 class TestArena:
     def test_zoo_arenas_validate_non_overlapping(self):

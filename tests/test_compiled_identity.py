@@ -1,9 +1,10 @@
 """Byte-identity of the compiled fused path.
 
-The compiled execution path's correctness bar, mirroring the operand-
-cache and batching suites: running a graph through the lowered
+The compiled execution path's correctness bar, mirroring the batching
+suite: running a graph through the lowered
 :class:`~repro.compile.program.CompiledProgram` must be *byte-identical*
-to the per-layer functional interpreter -- for every mini-zoo model,
+to the per-layer functional interpreter (which builds every operand
+inline, with no caches) -- for every mini-zoo model,
 five plan mechanisms (single-processor baseline, matched cooperative
 splits under uniform F16, uniform F32 and PFQ -- the last pairing an
 integer CPU part with an F16-over-QUInt8 GPU part on every splittable
@@ -22,6 +23,7 @@ compiled step order must not depend on dict/set iteration order.
 import numpy as np
 import pytest
 
+from repro.compile import compile_program
 from repro.models import MINI_MODELS, build_model
 from repro.nn import calibrate_graph
 from repro.runtime import (MuLayer, PROCESSOR_FRIENDLY, UNIFORM_F16,
@@ -84,6 +86,7 @@ def test_compiled_matches_functional(zoo, model, mechanism, batch):
     each seeded input."""
     graph, calibration = zoo[model]
     plan = _plan_for(graph, mechanism)
+    program = compile_program(graph, plan, calibration, batch=batch)
     executor = Executor(EXYNOS_7420)
     rng = np.random.default_rng(batch)
     for draw in range(INPUTS_PER_CELL):
@@ -91,7 +94,7 @@ def test_compiled_matches_functional(zoo, model, mechanism, batch):
         functional = executor.run(graph, plan, x=x,
                                   calibration=calibration)
         compiled = executor.run(graph, plan, x=x,
-                                calibration=calibration, compiled=True)
+                                calibration=calibration, program=program)
         assert set(compiled.outputs) == set(functional.outputs)
         for name, expected in functional.outputs.items():
             actual = compiled.outputs[name]
@@ -108,8 +111,6 @@ def test_arena_run_matches_fresh_run(zoo, model, mechanism, batch):
     """keep="outputs" (arena-backed buffers, reused across runs) and
     keep="all" (fresh per-layer arrays) produce identical graph
     outputs, including on a second run over the reused arena."""
-    from repro.compile import compile_program
-
     graph, calibration = zoo[model]
     plan = _plan_for(graph, mechanism)
     program = compile_program(graph, plan, calibration, batch=batch)
@@ -129,8 +130,6 @@ def test_program_stats_describe(zoo):
     """describe() reports the lowered shape of the program: one step
     per compute layer, a non-trivial fused-op count, and a planned
     arena."""
-    from repro.compile import compile_program
-
     graph, calibration = zoo["vgg_mini"]
     plan = _plan_for(graph, "pfq")
     program = compile_program(graph, plan, calibration)

@@ -507,6 +507,7 @@ class TestDepthwiseUint8:
         """A 0.5 CPU/GPU pfq split: every depthwise step pairs an
         integer CPU part with an F16 GPU part, and the compiled program
         stays byte-identical to the functional interpreter."""
+        from repro.compile import compile_program
         from repro.runtime import PROCESSOR_FRIENDLY
         from repro.runtime.executor import Executor
         from repro.runtime.plan import ExecutionPlan, LayerAssignment
@@ -522,8 +523,8 @@ class TestDepthwiseUint8:
                              policy=PROCESSOR_FRIENDLY,
                              assignments=assignments)
         executor = Executor(EXYNOS_7420)
-        program = executor.program_for(graph, plan,
-                                       mobilenet_mini_calibration, batch)
+        program = compile_program(graph, plan,
+                                  mobilenet_mini_calibration, batch=batch)
         mixed = [step for step in program.steps
                  if step.kind == "depthwise_conv"
                  and {resource for resource, _ in step.placements}
@@ -535,7 +536,7 @@ class TestDepthwiseUint8:
                                   calibration=mobilenet_mini_calibration)
         compiled = executor.run(graph, plan, x=x,
                                 calibration=mobilenet_mini_calibration,
-                                compiled=True)
+                                program=program)
         assert set(functional.outputs) == set(compiled.outputs)
         for name, tensor in functional.outputs.items():
             assert (compiled.outputs[name].data.tobytes()

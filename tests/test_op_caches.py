@@ -1,20 +1,23 @@
-"""Bit-exactness and lifecycle of the operand caches.
+"""Operands: packed once by the compiler, built inline by the interpreter.
 
-The performance layer's correctness bar: execution with the im2col /
-packed-operand caches enabled must be *byte-identical* to the uncached
-reference path, for every layer shape (conv, FC, depthwise), placement
-style (full-layer, cooperative), and policy (F32, F16, QUInt8, PFQ) --
-and the caches must never serve operands derived from replaced
-weights (the historical ``_quantized_weights`` staleness bug).
+A compiled program packs every weight-side operand (filter codes,
+centred f32 weight blocks, f16 casts, the integer bias, depthwise taps)
+once, at compile time; the :class:`LayerComputer` builds the same
+operands inline on every call and keeps nothing between calls.  These
+tests hold the two byte-identical on every layer output, for every
+layer shape (conv, FC, depthwise), placement style (whole layer on the
+CPU, cooperative split) and policy (F32, F16, QUInt8, PFQ), and check
+that neither path computes with the operands of replaced or mutated
+weights.
 """
 
-import numpy as np
 import pytest
 
-from repro.kernels import OperandCache
+from repro.compile import compile_program
 from repro.runtime import (LayerComputer, PROCESSOR_FRIENDLY,
                            UNIFORM_F16, UNIFORM_F32, UNIFORM_QUINT8)
 from repro.runtime.executor import Executor
+from repro.runtime.plan import ExecutionPlan, LayerAssignment
 
 POLICIES = {
     "f32": UNIFORM_F32,
@@ -25,8 +28,7 @@ POLICIES = {
 
 
 def run_graph(graph, computer, x, cooperative=False, split=0.5):
-    """One functional inference; returns the output tensor."""
-    computer.begin_inference()
+    """One interpreted inference; returns every layer's output."""
     input_name = graph.input_layers()[0]
     values = {input_name: computer.input_tensor(input_name, x)}
     for name in graph.compute_layers():
@@ -35,7 +37,19 @@ def run_graph(graph, computer, x, cooperative=False, split=0.5):
             values[name] = computer.run_cooperative(name, inputs, split)
         else:
             values[name] = computer.run_full(name, inputs, "cpu")
-    return values[graph.output_layers()[0]]
+    return values
+
+
+def matched_plan(graph, policy, cooperative=False, split=0.5):
+    """The plan whose placements :func:`run_graph` interprets."""
+    assignments = {}
+    for name in graph.compute_layers():
+        if cooperative and graph.layer(name).supports_channel_split:
+            assignments[name] = LayerAssignment.cooperative(name, split)
+        else:
+            assignments[name] = LayerAssignment.on_cpu(name)
+    return ExecutionPlan(graph_name=graph.name, policy=policy,
+                         assignments=assignments)
 
 
 def assert_identical(a, b):
@@ -45,14 +59,34 @@ def assert_identical(a, b):
     assert a.data.tobytes() == b.data.tobytes()
 
 
+def assert_all_identical(expected, actual):
+    assert set(actual) == set(expected)
+    for name, tensor in expected.items():
+        assert_identical(tensor, actual[name])
+
+
 def _calibration_for(policy, name, request):
     if not policy.is_quantized:
         return None
     return request.getfixturevalue(name)
 
 
+def _check_model(graph, policy, calibration, x, cooperative,
+                 split=0.5):
+    """Interpreter == compiled program, twice over (the second program
+    run reuses the first one's buffers)."""
+    computer = LayerComputer(graph, policy, calibration)
+    program = compile_program(
+        graph, matched_plan(graph, policy, cooperative, split),
+        calibration)
+    for _ in range(2):
+        expected = run_graph(graph, computer, x, cooperative, split)
+        assert_all_identical(expected, program.run(x, keep="all"))
+
+
 class TestByteIdentity:
-    """Cached == uncached, byte for byte, cold and warm."""
+    """Compiled (packed once) == interpreted (built inline), byte for
+    byte, on every layer."""
 
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     @pytest.mark.parametrize("cooperative", [False, True],
@@ -63,15 +97,8 @@ class TestByteIdentity:
         policy = POLICIES[policy_name]
         calibration = _calibration_for(
             policy, "squeezenet_calibration", request)
-        ref = LayerComputer(squeezenet_mini, policy, calibration,
-                            enable_caches=False)
-        fast = LayerComputer(squeezenet_mini, policy, calibration)
-        for _ in range(2):  # second pass hits the warm packed cache
-            expected = run_graph(squeezenet_mini, ref, single_input,
-                                 cooperative)
-            actual = run_graph(squeezenet_mini, fast, single_input,
-                               cooperative)
-            assert_identical(expected, actual)
+        _check_model(squeezenet_mini, policy, calibration, single_input,
+                     cooperative)
 
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     @pytest.mark.parametrize("cooperative", [False, True],
@@ -82,48 +109,21 @@ class TestByteIdentity:
         policy = POLICIES[policy_name]
         calibration = _calibration_for(
             policy, "mobilenet_mini_calibration", request)
-        ref = LayerComputer(mobilenet_mini, policy, calibration,
-                            enable_caches=False)
-        fast = LayerComputer(mobilenet_mini, policy, calibration)
-        for _ in range(2):
-            expected = run_graph(mobilenet_mini, ref, single_input,
-                                 cooperative)
-            actual = run_graph(mobilenet_mini, fast, single_input,
-                               cooperative)
-            assert_identical(expected, actual)
+        _check_model(mobilenet_mini, policy, calibration, single_input,
+                     cooperative)
 
     @pytest.mark.parametrize("split", [0.25, 0.5, 0.75])
     def test_uneven_splits(self, squeezenet_mini, squeezenet_calibration,
                            single_input, split):
-        ref = LayerComputer(squeezenet_mini, PROCESSOR_FRIENDLY,
-                            squeezenet_calibration, enable_caches=False)
-        fast = LayerComputer(squeezenet_mini, PROCESSOR_FRIENDLY,
-                             squeezenet_calibration)
-        expected = run_graph(squeezenet_mini, ref, single_input,
-                             cooperative=True, split=split)
-        actual = run_graph(squeezenet_mini, fast, single_input,
-                           cooperative=True, split=split)
-        assert_identical(expected, actual)
-
-    def test_cache_hits_actually_happen(self, squeezenet_mini,
-                                        squeezenet_calibration,
-                                        single_input):
-        """The identity test must not pass because caching silently
-        never engages."""
-        fast = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
-                             squeezenet_calibration)
-        run_graph(squeezenet_mini, fast, single_input, cooperative=True)
-        run_graph(squeezenet_mini, fast, single_input, cooperative=True)
-        stats = fast.cache_stats()
-        assert stats["im2col"]["hits"] > 0       # placements share cols
-        assert stats["packed"]["hits"] > 0       # 2nd inference reuses
+        _check_model(squeezenet_mini, PROCESSOR_FRIENDLY,
+                     squeezenet_calibration, single_input,
+                     cooperative=True, split=split)
 
 
 class TestWeightInvalidation:
-    """Regression: packed operands must not survive weight updates."""
+    """Neither path computes with the operands of old weights."""
 
     def _single_conv(self, graph, computer, x, name):
-        computer.begin_inference()
         input_name = graph.input_layers()[0]
         t = computer.input_tensor(input_name, x)
         return computer.run_full(name, [t], "cpu")
@@ -131,14 +131,18 @@ class TestWeightInvalidation:
     def test_replaced_weights_requantize(self, squeezenet_mini,
                                          squeezenet_calibration,
                                          single_input):
-        """Installing new arrays via set_weights is detected by array
-        identity -- the historical name-only cache served stale codes
-        here."""
+        """Installing new arrays via set_weights: the interpreter
+        quantizes the new arrays on its next call, and a program
+        compiled over the old ones reports itself stale."""
         name = squeezenet_mini.compute_layers()[0]
         layer = squeezenet_mini.layer(name)
         old_weights, old_bias = layer.weights, layer.bias
         computer = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
                                  squeezenet_calibration)
+        program = compile_program(
+            squeezenet_mini, matched_plan(squeezenet_mini,
+                                          UNIFORM_QUINT8),
+            squeezenet_calibration)
         before = self._single_conv(squeezenet_mini, computer,
                                    single_input, name)
         try:
@@ -146,53 +150,44 @@ class TestWeightInvalidation:
             after = self._single_conv(squeezenet_mini, computer,
                                       single_input, name)
             fresh = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
-                                  squeezenet_calibration,
-                                  enable_caches=False)
+                                  squeezenet_calibration)
+            expected = self._single_conv(squeezenet_mini, fresh,
+                                         single_input, name)
+            assert_identical(after, expected)
+            assert before.data.tobytes() != after.data.tobytes()
+            assert program.is_stale(squeezenet_mini)
+        finally:
+            layer.set_weights(old_weights, old_bias)
+
+    def test_inplace_mutation_is_seen(self, squeezenet_mini,
+                                      squeezenet_calibration,
+                                      single_input):
+        """In-place mutation of the same weight array needs no call on
+        the interpreter: its next inference reads the new values."""
+        name = squeezenet_mini.compute_layers()[0]
+        layer = squeezenet_mini.layer(name)
+        computer = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
+                                 squeezenet_calibration)
+        before = self._single_conv(squeezenet_mini, computer,
+                                   single_input, name)
+        saved = layer.weights.copy()
+        try:
+            layer.weights *= 2.0
+            after = self._single_conv(squeezenet_mini, computer,
+                                      single_input, name)
+            fresh = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
+                                  squeezenet_calibration)
             expected = self._single_conv(squeezenet_mini, fresh,
                                          single_input, name)
             assert_identical(after, expected)
             assert before.data.tobytes() != after.data.tobytes()
         finally:
-            layer.set_weights(old_weights, old_bias)
-
-    def test_inplace_mutation_needs_invalidate(self, squeezenet_mini,
-                                               squeezenet_calibration,
-                                               single_input):
-        """In-place mutation is invisible to identity validation; the
-        documented contract is an explicit invalidate_weights()."""
-        name = squeezenet_mini.compute_layers()[0]
-        layer = squeezenet_mini.layer(name)
-        computer = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
-                                 squeezenet_calibration)
-        self._single_conv(squeezenet_mini, computer, single_input, name)
-        saved = layer.weights.copy()
-        try:
-            layer.weights *= 2.0
-            computer.invalidate_weights(name)
-            after = self._single_conv(squeezenet_mini, computer,
-                                      single_input, name)
-            fresh = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
-                                  squeezenet_calibration,
-                                  enable_caches=False)
-            expected = self._single_conv(squeezenet_mini, fresh,
-                                         single_input, name)
-            assert_identical(after, expected)
-        finally:
             layer.weights[...] = saved
-            computer.invalidate_weights()
-
-    def test_invalidate_all(self, squeezenet_mini,
-                            squeezenet_calibration, single_input):
-        computer = LayerComputer(squeezenet_mini, UNIFORM_QUINT8,
-                                 squeezenet_calibration)
-        run_graph(squeezenet_mini, computer, single_input)
-        assert computer.cache_stats()["packed"]["entries"] > 0
-        computer.invalidate_weights()
-        assert computer.cache_stats()["packed"]["entries"] == 0
 
 
 class TestExecutorMemo:
-    """The executor reuses computers (and their caches) across runs."""
+    """Functional runs through the executor repeat exactly; the
+    accepted ``op_caches`` flag changes nothing."""
 
     def test_functional_outputs_identical(self, squeezenet_mini,
                                           squeezenet_calibration,
@@ -200,79 +195,11 @@ class TestExecutorMemo:
         from repro.runtime.baselines import single_processor_plan
         plan = single_processor_plan(squeezenet_mini, "cpu",
                                      UNIFORM_QUINT8)
-        cached = Executor(soc)
-        uncached = Executor(soc, op_caches=False)
+        default = Executor(soc)
+        flagged = Executor(soc, op_caches=False)
         for _ in range(2):
-            a = cached.run(squeezenet_mini, plan, x=single_input,
-                           calibration=squeezenet_calibration)
-            b = uncached.run(squeezenet_mini, plan, x=single_input,
-                             calibration=squeezenet_calibration)
-            out_name = squeezenet_mini.output_layers()[0]
-            assert (a.outputs[out_name].data.tobytes()
-                    == b.outputs[out_name].data.tobytes())
-
-    def test_computer_reused(self, squeezenet_mini,
-                             squeezenet_calibration, single_input, soc):
-        from repro.runtime.baselines import single_processor_plan
-        plan = single_processor_plan(squeezenet_mini, "cpu",
-                                     UNIFORM_QUINT8)
-        executor = Executor(soc)
-        executor.run(squeezenet_mini, plan, x=single_input,
-                     calibration=squeezenet_calibration)
-        executor.run(squeezenet_mini, plan, x=single_input,
-                     calibration=squeezenet_calibration)
-        assert len(executor._computers) == 1
-        (computer,) = executor._computers.values()
-        assert computer.cache_stats()["packed"]["hits"] > 0
-
-
-class TestOperandCacheUnit:
-    """The cache primitive itself."""
-
-    def test_identity_validation(self):
-        cache = OperandCache()
-        a = np.arange(4)
-        assert cache.get("k", a, lambda: "derived-a") == "derived-a"
-        assert cache.get("k", a, lambda: "never") == "derived-a"
-        b = np.arange(4)
-        assert cache.get("k", b, lambda: "derived-b") == "derived-b"
-        assert cache.hits == 1 and cache.misses == 2
-
-    def test_lru_eviction(self):
-        cache = OperandCache(max_entries=2)
-        src = np.zeros(1)
-        cache.get("a", src, lambda: 1)
-        cache.get("b", src, lambda: 2)
-        cache.get("a", src, lambda: 0)      # refresh a
-        cache.get("c", src, lambda: 3)      # evicts b
-        assert cache.evictions == 1
-        assert cache.get("b", src, lambda: 9) == 9   # b was evicted
-        assert len(cache) == 2
-
-    def test_invalidate_prefix(self):
-        cache = OperandCache()
-        src = np.zeros(1)
-        cache.get(("conv1", "rhs"), src, lambda: 1)
-        cache.get(("conv1", "bias"), src, lambda: 2)
-        cache.get(("conv2", "rhs"), src, lambda: 3)
-        assert cache.invalidate("conv1") == 2
-        assert len(cache) == 1
-        assert cache.invalidations == 2
-
-    def test_clear_keeps_counters(self):
-        cache = OperandCache()
-        src = np.zeros(1)
-        cache.get("a", src, lambda: 1)
-        cache.get("a", src, lambda: 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1 and cache.invalidations == 0
-
-    def test_stats_shape(self):
-        stats = OperandCache().stats()
-        assert set(stats) == {"entries", "hits", "misses", "hit_rate",
-                              "evictions", "invalidations"}
-
-    def test_max_entries_validation(self):
-        with pytest.raises(ValueError):
-            OperandCache(max_entries=0)
+            a = default.run(squeezenet_mini, plan, x=single_input,
+                            calibration=squeezenet_calibration)
+            b = flagged.run(squeezenet_mini, plan, x=single_input,
+                            calibration=squeezenet_calibration)
+            assert_all_identical(a.outputs, b.outputs)

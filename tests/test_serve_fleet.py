@@ -175,39 +175,6 @@ class TestWarmPlans:
         # Second call finds everything cached and builds nothing.
         assert fresh.warm_plans(("vgg_mini",)) == 0
 
-    def test_program_warm_once_per_soc_type_not_per_replica(self):
-        """Six replicas of one SoC type warm each (model, mechanism,
-        batch) program exactly once."""
-        fresh = Fleet.build(("exynos7420",), 6, compiled=True)
-        built = fresh.warm_plans(("vgg_mini",),
-                                 mechanisms=("mulayer",),
-                                 batches=(1, 2), programs=True)
-        # 2 plans + 2 programs, regardless of the replica count.
-        assert built == 4
-        assert fresh.plan_cache.program_count() == 2
-        context = fresh._contexts["exynos7420"]
-        for batch in (1, 2):
-            key = PlanKey(model="vgg_mini", soc="exynos7420",
-                          mechanism="mulayer",
-                          policy=context.policy_name("mulayer"),
-                          batch=batch)
-            program = fresh.plan_cache.get_program(key, batch)
-            assert program is not None
-            assert program.batch == batch
-        # Warming again builds nothing: every plan and program hits.
-        assert fresh.warm_plans(("vgg_mini",),
-                                mechanisms=("mulayer",),
-                                batches=(1, 2), programs=True) == 0
-
-    def test_program_warm_once_per_soc_type_in_mixed_fleet(self):
-        """A mixed fleet warms one program per SoC type: the two
-        types plan (and so compile) the same model separately."""
-        mixed = Fleet.build(("exynos7420", "exynos7880"), 2,
-                            compiled=True)
-        mixed.warm_plans(("squeezenet_mini",), mechanisms=("mulayer",),
-                         programs=True)
-        assert mixed.plan_cache.program_count() == 2
-
     def test_parallel_matches_serial(self):
         serial = Fleet.build(("exynos7420",), 1)
         parallel = Fleet.build(("exynos7420",), 1)
